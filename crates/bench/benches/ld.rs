@@ -1,8 +1,10 @@
 //! LD kernel micro-benchmarks: scalar r², row kernel, and the tiled
 //! popcount GEMM at several sample counts (the quantity the paper's
-//! LD-heavy workloads stress).
+//! LD-heavy workloads stress), plus the row kernel on cohort-shaped sites
+//! with missing calls (the `bench_omega` LD figure's shape).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use omega_bench::BENCH_CONFIG;
 use omega_genome::SnpVec;
 use omega_ld::{r2_block, r2_row, r2_sites};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -34,10 +36,10 @@ fn bench_r2_pair(c: &mut Criterion) {
 fn bench_r2_row(c: &mut Criterion) {
     let mut group = c.benchmark_group("r2_row");
     group.sample_size(20);
+    let mut out = vec![0.0f32; 256];
+    group.throughput(Throughput::Elements(256));
     for samples in [50usize, 1_000] {
         let s = sites(257, samples, 2);
-        let mut out = vec![0.0f32; 256];
-        group.throughput(Throughput::Elements(256));
         group.bench_with_input(BenchmarkId::from_parameter(samples), &s, |b, s| {
             b.iter(|| {
                 r2_row(&s[0], &s[1..], &mut out);
@@ -45,6 +47,14 @@ fn bench_r2_row(c: &mut Criterion) {
             })
         });
     }
+    let s = BENCH_CONFIG.ld_sites(257);
+    let id = format!("{}-missing{}", BENCH_CONFIG.ld_haplotypes, BENCH_CONFIG.ld_missing_rate);
+    group.bench_with_input(BenchmarkId::from_parameter(id), &s, |b, s| {
+        b.iter(|| {
+            r2_row(&s[0], &s[1..], &mut out);
+            black_box(out[0])
+        })
+    });
     group.finish();
 }
 

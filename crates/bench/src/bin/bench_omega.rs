@@ -9,9 +9,12 @@
 //! the speedup. It also measures the LD stage (matrix rebuild: r²
 //! popcounts plus the Eq. 3 DP) and emits both measured CPU rates as the
 //! `"calibration"` object that `backend=auto` cost prediction reads.
-//! Exits non-zero when the minimum speedup across workloads falls below
-//! the configured acceptance bar, so the number in the committed
-//! baseline is enforced, not aspirational.
+//! The `"ld"` object times the `r2_row` kernel against the dense
+//! `joint_counts` + `r2_from_counts` reference on cohort-shaped sites
+//! (2000 haplotypes, 0.1% of calls missing).
+//! Exits non-zero when the minimum ω speedup across workloads or the LD
+//! speedup falls below its configured acceptance bar, so the numbers in
+//! the committed baseline are enforced, not aspirational.
 
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -24,6 +27,7 @@ use omega_core::{
     omega_max, BorderSet, GridPlan, MatrixBuildTiming, OmegaKernel, RegionMatrix, TaskView,
 };
 use omega_gpu_sim::GpuDevice;
+use omega_ld::{r2_from_counts, r2_row, PairCounts};
 
 struct WorkloadResult {
     n_snps: usize,
@@ -94,6 +98,60 @@ fn measure_ld_ns_per_pair() -> f64 {
     best_s * 1e9 / pairs as f64
 }
 
+/// Sites in the LD-kernel figure; every row is timed against all earlier
+/// sites, as `RegionMatrix` fills its triangle.
+const LD_SITES: usize = 384;
+
+struct LdFigures {
+    pairs: u64,
+    dense_ns_per_pair: f64,
+    kernel_ns_per_pair: f64,
+}
+
+impl LdFigures {
+    fn speedup(&self) -> f64 {
+        self.dense_ns_per_pair / self.kernel_ns_per_pair
+    }
+}
+
+/// The r² kernel against the dense masked-count reference over the same
+/// lower triangle of cohort-shaped sites, best-of-reps each.
+fn measure_ld_kernel() -> LdFigures {
+    let sites = BENCH_CONFIG.ld_sites(LD_SITES);
+    let kernel_row = |i: usize, out: &mut [f32]| r2_row(&sites[i], &sites[..i], &mut out[..i]);
+    let dense_row = |i: usize, out: &mut [f32]| {
+        for (c, o) in sites[..i].iter().zip(out.iter_mut()) {
+            *o = r2_from_counts(PairCounts::from_sites(&sites[i], c));
+        }
+    };
+    // Warm-up doubles as the bit-identity check before trusting timings.
+    let (mut out, mut reference) = (vec![0.0f32; LD_SITES], vec![0.0f32; LD_SITES]);
+    for i in 1..LD_SITES {
+        kernel_row(i, &mut out);
+        dense_row(i, &mut reference);
+        assert!(
+            out[..i].iter().zip(&reference).all(|(a, b)| a.to_bits() == b.to_bits()),
+            "r2_row must be bitwise exact"
+        );
+    }
+    let mut triangle = |row: &dyn Fn(usize, &mut [f32])| {
+        time_best(|| {
+            for i in 1..LD_SITES {
+                row(i, &mut out);
+            }
+            out[0]
+        })
+    };
+    let dense_s = triangle(&dense_row);
+    let kernel_s = triangle(&kernel_row);
+    let pairs = (LD_SITES * (LD_SITES - 1) / 2) as u64;
+    LdFigures {
+        pairs,
+        dense_ns_per_pair: dense_s * 1e9 / pairs as f64,
+        kernel_ns_per_pair: kernel_s * 1e9 / pairs as f64,
+    }
+}
+
 /// Modelled GPU seconds of the accelerator stages (LD + ω), which are
 /// deterministic; `other_seconds` contains measured host time and is
 /// excluded so the committed baseline is stable.
@@ -137,6 +195,7 @@ fn main() -> ExitCode {
     let results: Vec<WorkloadResult> = cfg.workloads.iter().map(|&n| measure(n)).collect();
     let batch = measure_batch();
     let ld_ns_per_pair = measure_ld_ns_per_pair();
+    let ld = measure_ld_kernel();
     // The calibration ω rate comes from the largest workload: per-score
     // overhead amortizes with size, matching the jobs `auto` prices.
     let omega_ns_per_score = results.last().map(|r| r.kernel_ns_per_score).unwrap_or(f64::NAN);
@@ -181,6 +240,19 @@ fn main() -> ExitCode {
         batch.hidden_seconds,
         cfg.batch_replicates as f64 / batch.overlapped_seconds
     );
+    let _ = writeln!(
+        json,
+        "  \"ld\": {{\"n_haplotypes\": {}, \"missing_rate\": {}, \"pairs\": {}, \
+         \"dense_ns_per_pair\": {:.3}, \"kernel_ns_per_pair\": {:.3}, \
+         \"ld_speedup\": {:.3}, \"required_ld_speedup\": {:.1}}},",
+        cfg.ld_haplotypes,
+        cfg.ld_missing_rate,
+        ld.pairs,
+        ld.dense_ns_per_pair,
+        ld.kernel_ns_per_pair,
+        ld.speedup(),
+        cfg.min_ld_speedup
+    );
     let min = results.iter().map(WorkloadResult::speedup).fold(f64::INFINITY, f64::min);
     let _ = writeln!(json, "  \"min_speedup\": {min:.3},");
     let _ = writeln!(json, "  \"required_speedup\": {:.1}", cfg.min_speedup);
@@ -202,6 +274,14 @@ fn main() -> ExitCode {
          ld {ld_ns_per_pair:.3} ns/pair"
     );
     println!(
+        "ld ({} haplotypes, {} missing)  dense {:.3} ns/pair  r2_row {:.3} ns/pair  {:.2}x",
+        cfg.ld_haplotypes,
+        cfg.ld_missing_rate,
+        ld.dense_ns_per_pair,
+        ld.kernel_ns_per_pair,
+        ld.speedup()
+    );
+    println!(
         "batch ({} reps, gpu_k80)  serialized {:.6}s  overlapped {:.6}s  hidden {:.6}s",
         cfg.batch_replicates,
         batch.serialized_seconds,
@@ -218,6 +298,14 @@ fn main() -> ExitCode {
 
     if min < cfg.min_speedup {
         eprintln!("bench_omega: min speedup {min:.2}x below the {:.1}x bar", cfg.min_speedup);
+        return ExitCode::FAILURE;
+    }
+    if ld.speedup() < cfg.min_ld_speedup {
+        eprintln!(
+            "bench_omega: LD speedup {:.2}x below the {:.1}x bar",
+            ld.speedup(),
+            cfg.min_ld_speedup
+        );
         return ExitCode::FAILURE;
     }
     if batch.overlapped_seconds > batch.serialized_seconds + 1e-12 {

@@ -13,9 +13,9 @@ pub mod ablation;
 pub mod experiments;
 
 use omega_core::{BorderSet, GridPlan, ScanParams};
-use omega_genome::Alignment;
+use omega_genome::{Alignment, Allele, SnpVec};
 use omega_mssim::{simulate_fixed_sites, NeutralParams};
-use rand::{rngs::StdRng, SeedableRng};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Region length used by harness datasets.
 pub const REGION_BP: u64 = 1_000_000;
@@ -40,6 +40,12 @@ pub struct BenchConfig {
     pub workloads: [usize; 2],
     /// Acceptance floor for the kernel-vs-scalar speedup gate.
     pub min_speedup: f64,
+    /// Haplotypes per site in the LD-kernel figure.
+    pub ld_haplotypes: usize,
+    /// Fraction of calls missing in the LD-kernel figure.
+    pub ld_missing_rate: f64,
+    /// Acceptance floor for the `r2_row`-vs-dense-reference speedup gate.
+    pub min_ld_speedup: f64,
 }
 
 /// The committed baseline configuration. `min_speedup` assumes the
@@ -54,12 +60,41 @@ pub const BENCH_CONFIG: BenchConfig = BenchConfig {
     // Above the 4.2× the autovectorized scalar loop reached before the
     // explicit-AVX2 sweep; the small (256-SNP) workload bounds the min.
     min_speedup: 4.3,
+    // The `vcf-cohort` shape: 1000 diploid samples, 0.1% of calls missing,
+    // so nearly every site holds a missing call somewhere.
+    ld_haplotypes: 2_000,
+    ld_missing_rate: 0.001,
+    min_ld_speedup: 3.0,
 };
 
 impl BenchConfig {
     /// Single-position workload dataset at `n_snps` sites.
     pub fn workload_dataset(&self, n_snps: usize) -> Alignment {
         dataset(n_snps, self.n_samples, self.seed)
+    }
+
+    /// `n_sites` random sites of the LD-kernel figure's shape
+    /// (`ld_haplotypes` wide, `ld_missing_rate` of calls missing, derived
+    /// frequency drawn per site), deterministic in `seed`.
+    pub fn ld_sites(&self, n_sites: usize) -> Vec<SnpVec> {
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        (0..n_sites)
+            .map(|_| {
+                let p = rng.gen_range(0.05..0.95);
+                let calls: Vec<Allele> = (0..self.ld_haplotypes)
+                    .map(|_| {
+                        if rng.gen_bool(self.ld_missing_rate) {
+                            Allele::Missing
+                        } else if rng.gen_bool(p) {
+                            Allele::One
+                        } else {
+                            Allele::Zero
+                        }
+                    })
+                    .collect();
+                SnpVec::from_calls(&calls)
+            })
+            .collect()
     }
 
     /// Exhaustive single-position scan parameters (windows wide enough
@@ -181,6 +216,10 @@ mod tests {
         assert_eq!(p.max_win, REGION_BP);
         assert!(c.min_speedup > 1.0);
         assert!(c.workloads[0] < c.workloads[1]);
+        let ld = c.ld_sites(3);
+        assert_eq!(ld.len(), 3);
+        assert!(ld.iter().all(|s| s.n_samples() == c.ld_haplotypes));
+        assert!(c.min_ld_speedup > 1.0);
     }
 
     #[test]

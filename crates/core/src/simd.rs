@@ -36,98 +36,13 @@
 //!
 //! # Dispatch
 //!
-//! [`active_level`] resolves once (cached in an atomic) from, in
-//! priority order: a test override ([`force_level`]), the
-//! `OMEGA_FORCE_SCALAR` environment variable (any value other than
-//! empty or `0` forces the scalar path), and
-//! `is_x86_feature_detected!("avx2")`. The scalar code in
-//! [`crate::kernel`] is the mandatory fallback and stays the reference
-//! the SIMD path is proptest-pinned against.
+//! The level is resolved by `omega_ld::simd` and re-exported here, so
+//! one decision (and one `OMEGA_FORCE_SCALAR` / [`force_level`]
+//! override) governs both this sweep and the r² popcount kernel. The
+//! scalar code in [`crate::kernel`] is the mandatory fallback and stays
+//! the reference the SIMD path is proptest-pinned against.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Which implementation of the lane sweep is active.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimdLevel {
-    /// The portable column-sliced scalar code (autovectorizable).
-    Scalar,
-    /// Explicit AVX2 intrinsics (x86-64 with runtime-detected AVX2).
-    Avx2,
-}
-
-impl SimdLevel {
-    /// Lowercase label for reports and logs.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SimdLevel::Scalar => "scalar",
-            SimdLevel::Avx2 => "avx2",
-        }
-    }
-}
-
-const LEVEL_UNKNOWN: u8 = 0;
-const LEVEL_SCALAR: u8 = 1;
-const LEVEL_AVX2: u8 = 2;
-
-/// Cached dispatch decision; `LEVEL_UNKNOWN` until first use.
-static LEVEL: AtomicU8 = AtomicU8::new(LEVEL_UNKNOWN);
-
-fn detect() -> u8 {
-    if std::env::var_os("OMEGA_FORCE_SCALAR").is_some_and(|v| !v.is_empty() && v != "0") {
-        return LEVEL_SCALAR;
-    }
-    if avx2_supported() {
-        return LEVEL_AVX2;
-    }
-    LEVEL_SCALAR
-}
-
-/// Whether the host CPU supports AVX2 (raw detection, ignoring
-/// overrides).
-pub fn avx2_supported() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// The sweep implementation the kernel will dispatch to. Resolved once
-/// and cached; see the module docs for the resolution order.
-pub fn active_level() -> SimdLevel {
-    // Acquire/Release so a thread that reads a resolved level also sees
-    // everything the resolving thread did before publishing it.
-    match LEVEL.load(Ordering::Acquire) {
-        LEVEL_SCALAR => SimdLevel::Scalar,
-        LEVEL_AVX2 => SimdLevel::Avx2,
-        _ => {
-            let resolved = detect();
-            LEVEL.store(resolved, Ordering::Release);
-            if resolved == LEVEL_AVX2 {
-                SimdLevel::Avx2
-            } else {
-                SimdLevel::Scalar
-            }
-        }
-    }
-}
-
-/// Overrides the cached dispatch decision (tests and benches). `None`
-/// re-runs detection on next use. Forcing [`SimdLevel::Avx2`] on a host
-/// without AVX2 is downgraded to scalar — the override can never make
-/// the kernel execute unsupported instructions.
-pub fn force_level(level: Option<SimdLevel>) {
-    let raw = match level {
-        None => LEVEL_UNKNOWN,
-        Some(SimdLevel::Scalar) => LEVEL_SCALAR,
-        Some(SimdLevel::Avx2) if avx2_supported() => LEVEL_AVX2,
-        Some(SimdLevel::Avx2) => LEVEL_SCALAR,
-    };
-    LEVEL.store(raw, Ordering::Release);
-}
+pub use omega_ld::simd::{active_level, avx2_supported, force_level, SimdLevel};
 
 /// `true` when the dispatcher will take the AVX2 path. Implies
 /// [`avx2_supported`], so callers may invoke the unchecked sweep.

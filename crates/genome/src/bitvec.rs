@@ -24,7 +24,7 @@ pub enum Allele {
 /// Invariants maintained by every constructor and mutator:
 /// * `bits & !valid == 0` — a missing sample never carries a derived bit;
 /// * bits above `n_samples` are zero in both planes;
-/// * cached counts match the planes.
+/// * cached counts and the missing-word index match the planes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnpVec {
     bits: Vec<u64>,
@@ -32,6 +32,8 @@ pub struct SnpVec {
     n_samples: usize,
     derived: u32,
     n_valid: u32,
+    /// Ascending indices of the words holding at least one missing call.
+    missing_words: Box<[u32]>,
 }
 
 impl SnpVec {
@@ -52,9 +54,24 @@ impl SnpVec {
                 Allele::Missing => {}
             }
         }
+        Self::from_planes(bits, valid, n_samples)
+    }
+
+    /// Builds a site from already-packed planes, deriving the cached
+    /// counts and the missing-word index. Callers guarantee the planes
+    /// hold `n_samples.div_ceil(WORD_BITS)` words, `bits ⊆ valid`, and no
+    /// bit at or above `n_samples`.
+    pub(crate) fn from_planes(bits: Vec<u64>, valid: Vec<u64>, n_samples: usize) -> Self {
+        debug_assert_eq!(bits.len(), n_samples.div_ceil(WORD_BITS));
+        debug_assert_eq!(valid.len(), bits.len());
+        debug_assert!(bits.iter().zip(&valid).all(|(b, v)| b & !v == 0));
         let derived = bits.iter().map(|w| w.count_ones()).sum();
         let n_valid = valid.iter().map(|w| w.count_ones()).sum();
-        SnpVec { bits, valid, n_samples, derived, n_valid }
+        let missing_words = (0..valid.len())
+            .filter(|&k| valid[k] != word_mask(n_samples, k))
+            .map(|k| k as u32)
+            .collect();
+        SnpVec { bits, valid, n_samples, derived, n_valid, missing_words }
     }
 
     /// Builds a site from 0/1 byte values with no missing data.
@@ -96,6 +113,14 @@ impl SnpVec {
     #[inline]
     pub fn valid_words(&self) -> &[u64] {
         &self.valid
+    }
+
+    /// Ascending indices of the words that hold at least one missing
+    /// call; empty when every call is present. The r² kernel corrects its
+    /// marginal counts over these words only.
+    #[inline]
+    pub fn missing_words(&self) -> &[u32] {
+        &self.missing_words
     }
 
     /// Count of samples carrying the derived allele.
@@ -148,7 +173,10 @@ impl SnpVec {
     /// derived at both sites and `ni`/`nj` count samples derived at
     /// `self`/`other` respectively.
     ///
-    /// This is the popcount kernel at the heart of every LD computation.
+    /// This is the dense reference: it masks every word with both validity
+    /// planes. The engine's row kernel (`omega_ld::r2_row`) reaches the same
+    /// counts with one popcount per word plus a correction over
+    /// [`missing_words`](Self::missing_words).
     pub fn joint_counts(&self, other: &SnpVec) -> (u32, u32, u32, u32) {
         assert_eq!(self.n_samples, other.n_samples, "joint_counts requires equal sample counts");
         let mut n11 = 0u32;
@@ -176,6 +204,7 @@ impl SnpVec {
             n_samples: self.n_samples,
             derived,
             n_valid: self.n_valid,
+            missing_words: self.missing_words.clone(),
         }
     }
 
@@ -187,6 +216,17 @@ impl SnpVec {
     /// Iterates over the calls of every sample in order.
     pub fn iter(&self) -> impl Iterator<Item = Allele> + '_ {
         (0..self.n_samples).map(move |i| self.get(i))
+    }
+}
+
+/// Lanes of word `k` that fall below `n_samples`.
+#[inline]
+fn word_mask(n_samples: usize, k: usize) -> u64 {
+    let rem = n_samples - k * WORD_BITS;
+    if rem >= WORD_BITS {
+        !0
+    } else {
+        (1u64 << rem) - 1
     }
 }
 
@@ -287,6 +327,18 @@ mod tests {
         let v = SnpVec::from_calls(&[Allele::One, Allele::Missing, Allele::Zero]);
         let collected: Vec<Allele> = v.iter().collect();
         assert_eq!(collected, vec![Allele::One, Allele::Missing, Allele::Zero]);
+    }
+
+    #[test]
+    fn missing_words_index_partial_last_word() {
+        let mut calls = vec![Allele::Zero; 130];
+        calls[70] = Allele::Missing;
+        calls[129] = Allele::Missing;
+        let v = SnpVec::from_calls(&calls);
+        assert_eq!(v.missing_words(), &[1, 2]);
+        assert_eq!(v.flipped().missing_words(), &[1, 2]);
+        // Unused lanes of a partial last word are not missing calls.
+        assert!(SnpVec::from_bits(&[1; 130]).missing_words().is_empty());
     }
 
     #[test]

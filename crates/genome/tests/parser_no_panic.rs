@@ -2,19 +2,22 @@
 //! truncated `ms` and VCF inputs must surface as `Err` (or a benign
 //! `Ok`) — the parsers must never panic, whatever bytes arrive.
 //!
-//! All generated documents are ASCII, so byte-offset truncation below is
-//! always on a char boundary.
+//! Generated documents are ASCII, so byte-offset truncation below is
+//! always on a char boundary; the one non-UTF-8 case splices its high
+//! byte in after truncating.
 
 use omega_genome::fasta::read_fasta;
 use omega_genome::ms::{read_ms, MsReadOptions};
 use omega_genome::vcf::read_vcf;
-use omega_genome::Alignment;
+use omega_genome::{Alignment, GenomeError};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
 /// Characters that keep garbled text *plausibly* ms-shaped, so cases hit
 /// the parser's interior rather than bailing on the first line.
 const MS_SOUP: &[u8] = b"01 \n\t//segsites:pon.-2N?";
+/// Characters that keep garbled text VCF-shaped.
+const VCF_SOUP: &[u8] = b"01 \n\r\t#|/:.chrGTA";
 /// Letters only — any token drawn from these can never parse as a count.
 const LETTERS: &[u8] = b"abcdefghijklmnopqrstuvwxyz";
 
@@ -147,6 +150,37 @@ proptest! {
         if let Ok(outcome) = read_vcf(&bytes[..]) {
             check_alignment(&outcome.alignment)?;
         }
+    }
+
+    #[test]
+    fn non_utf8_vcf_soup_is_a_typed_error(
+        case in (1usize..6, vec(0usize..VCF_SOUP.len(), 0..200), 0usize..256, 0x80u8..0xff)
+            .prop_flat_map(|(n, soup, at, high)| {
+                let doc = valid_vcf_doc(n);
+                let len = doc.len();
+                (0..len).prop_map(move |cut| (doc.clone(), soup.clone(), at, high, cut))
+            })
+    ) {
+        // A valid prefix, VCF-shaped soup, and one byte that is never
+        // UTF-8 next to ASCII. The reader may stop (or fail) before the
+        // byte's line; if it fails on that line, the error is typed I/O.
+        let (doc, soup, at, high, cut) = case;
+        let mut bytes = doc.as_bytes()[..cut].to_vec();
+        bytes.extend(soup.iter().map(|&i| VCF_SOUP[i]));
+        let at = at.min(bytes.len());
+        bytes.insert(at, high);
+        match read_vcf(&bytes[..]) {
+            Ok(outcome) => check_alignment(&outcome.alignment)?,
+            Err(GenomeError::Io(e)) => {
+                prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+            }
+            Err(_) => {}
+        }
+        // A lone high byte on the first data line is always reached.
+        let mut lone = b"chr1\t10\t.\tA\tT\t.\tPASS\t.\tGT\t0|1".to_vec();
+        lone.insert(at.min(lone.len()), high);
+        let err = read_vcf(&lone[..]).map(drop).unwrap_err();
+        prop_assert!(err.to_string().contains("valid UTF-8"), "{}", err);
     }
 
     #[test]

@@ -1,11 +1,25 @@
 //! Batch LD as dense linear algebra: the popcount GEMM.
 //!
-//! For missing-free data the joint count `n11` of every (row, col) pair is
-//! one element of the binary matrix product X·Xᵀ, which is how the BLIS
-//! mapping of Binder et al. computes LD on the GPU. We implement the same
-//! formulation on the CPU: a cache-blocked popcount GEMM with a rayon
-//! parallel outer loop, plus a fallback path that honours per-sample
-//! missing-data masks.
+//! The joint count `n11` of every (row, col) pair is one element of the
+//! binary matrix product X·Xᵀ, which is how the BLIS mapping of Binder et
+//! al. computes LD on the GPU. We implement the same formulation on the
+//! CPU: a cache-blocked popcount GEMM with a rayon parallel outer loop.
+//!
+//! Missing data costs no extra pass. Because a missing call never carries
+//! a derived bit (`bits ⊆ valid`), `popcount(a.bits & b.bits)` already
+//! counts only jointly valid samples, and the three marginals start from
+//! each site's cached counts and are corrected over the few words that
+//! actually hold a missing call ([`SnpVec::missing_words`]):
+//!
+//! ```text
+//! ni = a.derived − Σ_{k∈Mb} popcount(a.bits[k] & !b.valid[k])
+//! nj = b.derived − Σ_{k∈Ma} popcount(b.bits[k] & !a.valid[k])
+//! nv = b.n_valid − Σ_{k∈Ma} popcount(b.valid[k] & !a.valid[k])
+//! ```
+//!
+//! A pair therefore costs one popcount per word plus O(missing words),
+//! and the counts equal [`SnpVec::joint_counts`] exactly, so every r² is
+//! bit-identical to [`crate::r2_sites`].
 
 use omega_genome::SnpVec;
 use rayon::prelude::*;
@@ -21,38 +35,68 @@ const COL_TILE: usize = 64;
 /// against load balance on narrow blocks.
 const ROW_CHUNK: usize = 8;
 
-/// Computes `out[j] = r²(sites[i], cols[j])` for one row site against a
-/// slice of column sites. `out.len()` must equal `cols.len()`.
+/// Computes `out[j] = r²(row, cols[j])` for one row site against a slice
+/// of column sites. `out.len()` must equal `cols.len()`, and every site
+/// must have the row's sample count.
 pub fn r2_row(row: &SnpVec, cols: &[SnpVec], out: &mut [f32]) {
     assert_eq!(cols.len(), out.len(), "output length must match column count");
-    if cols.is_empty() {
+    let n = row.n_samples();
+    assert!(cols.iter().all(|c| c.n_samples() == n), "r2_row requires equal sample counts");
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::active_level() == crate::simd::SimdLevel::Avx2 {
+        // SAFETY: the Avx2 level is only ever resolved (or forced) when
+        // both `avx2` and `popcnt` were detected at runtime
+        // (`simd::avx2_supported`).
+        unsafe { r2_row_avx2(row, cols, out) };
         return;
     }
-    let fast = !row.has_missing() && cols.iter().all(|c| !c.has_missing());
-    if fast {
-        r2_row_fast(row, cols, out);
-    } else {
-        for (c, o) in cols.iter().zip(out.iter_mut()) {
-            *o = r2_from_counts(PairCounts::from_sites(row, c));
-        }
+    r2_row_words(row, cols, out);
+}
+
+/// [`r2_row_words`] compiled for AVX2 and hardware `POPCNT`. LLVM turns
+/// the `n11` word loop into a nibble-LUT vector popcount (`vpshufb` +
+/// `vpsadbw`), which `benches/ld.rs` measured faster than scalar
+/// `POPCNT` alone at 2000 haplotypes; the corrections and tails use
+/// `POPCNT`.
+///
+/// # Safety
+///
+/// The host must support `avx2` and `popcnt`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,popcnt")]
+unsafe fn r2_row_avx2(row: &SnpVec, cols: &[SnpVec], out: &mut [f32]) {
+    r2_row_words(row, cols, out);
+}
+
+#[inline(always)]
+fn r2_row_words(row: &SnpVec, cols: &[SnpVec], out: &mut [f32]) {
+    for (c, o) in cols.iter().zip(out.iter_mut()) {
+        *o = r2_from_counts(pair_counts(row, c));
     }
 }
 
-/// Missing-free inner kernel: only the AND-popcount per pair is data
-/// dependent; marginal counts come from the per-site caches.
-fn r2_row_fast(row: &SnpVec, cols: &[SnpVec], out: &mut [f32]) {
-    let rw = row.words();
-    let n = row.n_samples() as u32;
-    let ni = row.derived_count();
-    for (c, o) in cols.iter().zip(out.iter_mut()) {
-        let cw = c.words();
-        debug_assert_eq!(rw.len(), cw.len());
-        let mut n11 = 0u32;
-        for (a, b) in rw.iter().zip(cw) {
-            n11 += (a & b).count_ones();
-        }
-        *o = r2_from_counts(PairCounts { n11, ni, nj: c.derived_count(), n_valid: n });
+/// Joint counts of one pair of equal-width sites via the missing-word
+/// correction (see the module docs).
+#[inline(always)]
+fn pair_counts(a: &SnpVec, b: &SnpVec) -> PairCounts {
+    let (ab, bb) = (a.words(), b.words());
+    let (av, bv) = (a.valid_words(), b.valid_words());
+    let mut n11 = 0u32;
+    for (x, y) in ab.iter().zip(bb) {
+        n11 += (x & y).count_ones();
     }
+    let mut ni = a.derived_count();
+    for &k in b.missing_words() {
+        let k = k as usize;
+        ni -= (ab[k] & !bv[k]).count_ones();
+    }
+    let (mut nj, mut n_valid) = (b.derived_count(), b.valid_count());
+    for &k in a.missing_words() {
+        let k = k as usize;
+        nj -= (bb[k] & !av[k]).count_ones();
+        n_valid -= (bv[k] & !av[k]).count_ones();
+    }
+    PairCounts { n11, ni, nj, n_valid }
 }
 
 /// Computes the full r² block `rows × cols` (row-major output), tiling the
@@ -88,21 +132,6 @@ pub fn r2_block_into(rows: &[SnpVec], cols: &[SnpVec], out: &mut [f32]) {
             }
         },
     );
-}
-
-/// Raw pair-count GEMM: `out[i*cols.len()+j] = popcount(rows[i] & cols[j])`
-/// over jointly-valid samples. Exposed for the accelerator models, whose
-/// LD cost accounting is expressed in these GEMM terms.
-pub fn pair_count_block(rows: &[SnpVec], cols: &[SnpVec]) -> Vec<u32> {
-    let nc = cols.len();
-    let mut out = vec![0u32; rows.len() * nc];
-    out.par_chunks_mut(nc).zip(rows.par_iter()).for_each(|(out_row, row)| {
-        for (c, o) in cols.iter().zip(out_row.iter_mut()) {
-            let (n11, _, _, _) = row.joint_counts(c);
-            *o = n11;
-        }
-    });
-    out
 }
 
 #[cfg(test)]
@@ -202,19 +231,6 @@ mod tests {
     }
 
     #[test]
-    fn pair_count_block_matches_joint_counts() {
-        let rows = random_sites(6, 90, true, 12);
-        let cols = random_sites(11, 90, true, 13);
-        let out = pair_count_block(&rows, &cols);
-        for i in 0..rows.len() {
-            for j in 0..cols.len() {
-                let (n11, _, _, _) = rows[i].joint_counts(&cols[j]);
-                assert_eq!(out[i * cols.len() + j], n11);
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "wrong size")]
     fn block_into_validates_buffer() {
         let rows = random_sites(2, 10, false, 14);
@@ -222,45 +238,102 @@ mod tests {
         let mut out = vec![0.0; 3];
         r2_block_into(&rows, &cols, &mut out);
     }
+
+    #[test]
+    #[should_panic(expected = "equal sample counts")]
+    fn row_rejects_mismatched_sample_counts() {
+        // 130 vs 64 samples: a zip over the words would silently truncate.
+        let row = random_sites(1, 130, false, 16);
+        let cols = random_sites(2, 64, false, 17);
+        let mut out = vec![0.0; 2];
+        r2_row(&row[0], &cols, &mut out);
+    }
 }
 
 #[cfg(test)]
 mod proptests {
     use super::*;
     use crate::r2::r2_sites;
+    use crate::simd::{force_level, SimdLevel};
     use omega_genome::Allele;
     use proptest::prelude::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
-    fn site_strategy(n_samples: usize) -> impl Strategy<Value = SnpVec> {
-        proptest::collection::vec(0u8..3, n_samples).prop_map(|v| {
-            let calls: Vec<Allele> = v
-                .iter()
-                .map(|&b| match b {
-                    0 => Allele::Zero,
-                    1 => Allele::One,
-                    _ => Allele::Missing,
+    /// Sample counts around the word boundaries, plus the cohort width.
+    const WIDTHS: [usize; 6] = [1, 63, 64, 65, 130, 2000];
+    /// Missing-call rates: none, cohort-like sparse, dense, half.
+    const MISSING: [f64; 4] = [0.0, 0.001, 0.05, 0.5];
+
+    fn site_strategy(n_samples: usize, missing: f64) -> impl Strategy<Value = SnpVec> {
+        (0u64..u64::MAX, 0.0f64..1.0).prop_map(move |(seed, p)| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let calls: Vec<Allele> = (0..n_samples)
+                .map(|_| {
+                    if rng.gen_bool(missing) {
+                        Allele::Missing
+                    } else if rng.gen_bool(p) {
+                        Allele::One
+                    } else {
+                        Allele::Zero
+                    }
                 })
                 .collect();
             SnpVec::from_calls(&calls)
         })
     }
 
+    /// Two site blocks of one width, each with its own missing rate.
+    fn blocks() -> impl Strategy<Value = (Vec<SnpVec>, Vec<SnpVec>)> {
+        (0..WIDTHS.len(), 0..MISSING.len(), 0..MISSING.len()).prop_flat_map(|(w, mr, mc)| {
+            (
+                proptest::collection::vec(site_strategy(WIDTHS[w], MISSING[mr]), 1..6),
+                proptest::collection::vec(site_strategy(WIDTHS[w], MISSING[mc]), 1..6),
+            )
+        })
+    }
+
     proptest! {
         #[test]
-        fn batch_always_matches_scalar(
-            rows in proptest::collection::vec(site_strategy(33), 1..6),
-            cols in proptest::collection::vec(site_strategy(33), 1..6),
+        fn corrected_counts_equal_dense_joint_counts(
+            pair in (0..WIDTHS.len(), 0..MISSING.len(), 0..MISSING.len())
+                .prop_flat_map(|(w, ma, mb)| {
+                    (site_strategy(WIDTHS[w], MISSING[ma]), site_strategy(WIDTHS[w], MISSING[mb]))
+                }),
         ) {
-            let out = r2_block(&rows, &cols);
-            for i in 0..rows.len() {
-                for j in 0..cols.len() {
-                    prop_assert_eq!(out[i * cols.len() + j], r2_sites(&rows[i], &cols[j]));
-                }
+            let (a, b) = pair;
+            let (fa, fb) = (a.flipped(), b.flipped());
+            for (x, y) in [(&a, &b), (&fa, &b), (&a, &fb), (&fa, &fb), (&b, &a)] {
+                prop_assert_eq!(pair_counts(x, y), PairCounts::from_sites(x, y));
             }
         }
 
         #[test]
-        fn r2_bounded_and_symmetric(a in site_strategy(48), b in site_strategy(48)) {
+        fn batch_always_matches_scalar(case in blocks()) {
+            let (rows, cols) = case;
+            // The override is process-wide; a concurrent test flipping it
+            // only changes which (equal) path it measures.
+            for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+                force_level(Some(level));
+                let out = r2_block(&rows, &cols);
+                let mut row_out = vec![0.0f32; cols.len()];
+                r2_row(&rows[0], &cols, &mut row_out);
+                for j in 0..cols.len() {
+                    prop_assert_eq!(row_out[j].to_bits(), r2_sites(&rows[0], &cols[j]).to_bits());
+                }
+                for i in 0..rows.len() {
+                    for j in 0..cols.len() {
+                        prop_assert_eq!(
+                            out[i * cols.len() + j].to_bits(),
+                            r2_sites(&rows[i], &cols[j]).to_bits()
+                        );
+                    }
+                }
+            }
+            force_level(None);
+        }
+
+        #[test]
+        fn r2_bounded_and_symmetric(a in site_strategy(48, 0.3), b in site_strategy(48, 0.3)) {
             let r = r2_sites(&a, &b);
             prop_assert!((0.0..=1.0 + 1e-6).contains(&r));
             prop_assert_eq!(r, r2_sites(&b, &a));

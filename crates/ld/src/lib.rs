@@ -15,15 +15,20 @@
 //! GPUs via BLIS, and which this crate implements as a cache-tiled,
 //! rayon-parallel popcount GEMM ([`gemm`]).
 //!
-//! Three tiers are provided, all agreeing bit-for-bit:
-//! * [`r2::r2_sites`] — one pair at a time (reference + engine hot path);
-//! * [`gemm::r2_block`] — tiled site-block × site-block batch;
+//! Four entry points are provided, all agreeing bit-for-bit:
+//! * [`r2::r2_sites`] — one pair at a time over the dense masked counts
+//!   (the reference the batch kernels are pinned against);
+//! * [`gemm::r2_row`] — one site against a run of sites, one popcount per
+//!   word plus a missing-word correction (the engine's hot path, behind
+//!   the [`simd`] dispatch);
+//! * [`gemm::r2_block`] — tiled site-block × site-block batch of rows;
 //! * [`matrix::LdMatrix`] — triangular r² matrix of a whole window.
 
 pub mod gemm;
 pub mod matrix;
 pub mod measures;
 pub mod r2;
+pub mod simd;
 
 pub use gemm::{r2_block, r2_row};
 pub use matrix::LdMatrix;
