@@ -40,7 +40,7 @@ impl WorkloadClass {
     }
 
     /// A dataset shape scaled by `1/scale` in both dimensions (the
-    /// benchmark harness runs scaled-down replicas on the single-core
+    /// benchmark harness runs scaled-down replicas on the 2-vCPU
     /// host; the LD/ω split that defines the class is shape-preserved
     /// because both workloads shrink together).
     pub fn scaled_dataset(&self, scale: usize) -> (usize, usize) {

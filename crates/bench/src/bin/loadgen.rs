@@ -61,19 +61,21 @@
 //! once instead of counting as an error; the `retries` record in the
 //! output says how often that path fired and recovered.
 //!
-//! All requests ride per-thread keep-alive connections; every output
+//! Each client thread talks through its own `omega_serve::client`
+//! `WorkerClient`, which holds one keep-alive connection; every output
 //! includes a `connection_reuse` record (requests, connections opened,
 //! reuse fraction).
 //!
 //! Usage: `loadgen [OUT.json] [-clients N] [--trace-audit | --persist-audit | --cluster]`
 
-use std::io::{Read, Write as _};
-use std::net::TcpStream;
+use std::cell::RefCell;
+use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
+use omega_serve::client::{ClientResponse, WorkerClient};
 use omega_serve::{ServeConfig, ServeHandle};
 
 const DISTINCT: usize = 6;
@@ -185,138 +187,30 @@ fn client_trace_header() -> String {
 static CONNECTS_OPENED: AtomicU64 = AtomicU64::new(0);
 static REQUESTS_DONE: AtomicU64 = AtomicU64::new(0);
 
+/// Per-IO timeout of every client, and the longest a fill job may take.
+const IO_TIMEOUT: Duration = Duration::from_secs(60);
+
 thread_local! {
-    /// Each client thread holds one keep-alive connection (per address),
+    /// Each client thread holds one keep-alive client (per address),
     /// mirroring how a real closed-loop client would drive the daemon.
-    static CONN: std::cell::RefCell<Option<(std::net::SocketAddr, TcpStream)>> =
-        const { std::cell::RefCell::new(None) };
+    static CLIENT: RefCell<Option<WorkerClient>> = const { RefCell::new(None) };
 }
 
-fn find_subslice(haystack: &[u8], needle: &[u8]) -> Option<usize> {
-    haystack.windows(needle.len()).position(|w| w == needle)
-}
-
-/// Reads one framed response off a keep-alive connection: status line +
-/// headers, then exactly `Content-Length` bytes or the full chunked
-/// framing. Returns (status, body, connection-still-usable,
-/// `Retry-After` seconds if the daemon sent one).
-fn read_response(stream: &mut TcpStream) -> std::io::Result<(u16, String, bool, Option<u64>)> {
-    use std::io::{Error, ErrorKind};
-    let mut buf: Vec<u8> = Vec::with_capacity(4096);
-    let mut tmp = [0u8; 4096];
-    let mut fill = |buf: &mut Vec<u8>, stream: &mut TcpStream| -> std::io::Result<()> {
-        let n = stream.read(&mut tmp)?;
-        if n == 0 {
-            return Err(Error::new(ErrorKind::UnexpectedEof, "connection closed mid-response"));
-        }
-        buf.extend_from_slice(&tmp[..n]);
-        Ok(())
-    };
-    let head_end = loop {
-        if let Some(at) = find_subslice(&buf, b"\r\n\r\n") {
-            break at + 4;
-        }
-        fill(&mut buf, stream)?;
-    };
-    let head = String::from_utf8_lossy(&buf[..head_end]).to_string();
-    let status: u16 =
-        head.split_whitespace().nth(1).and_then(|s| s.parse().ok()).ok_or_else(|| {
-            Error::new(ErrorKind::InvalidData, format!("bad status line: {head:?}"))
-        })?;
-    let mut content_length: usize = 0;
-    let mut chunked = false;
-    let mut keep_alive = head.starts_with("HTTP/1.1");
-    let mut retry_after: Option<u64> = None;
-    for line in head.lines().skip(1) {
-        let Some((name, value)) = line.split_once(':') else { continue };
-        let value = value.trim();
-        match name.trim().to_ascii_lowercase().as_str() {
-            "content-length" => content_length = value.parse().unwrap_or(0),
-            "transfer-encoding" => chunked = value.eq_ignore_ascii_case("chunked"),
-            "connection" => keep_alive = value.eq_ignore_ascii_case("keep-alive"),
-            "retry-after" => retry_after = value.parse().ok(),
-            _ => {}
-        }
-    }
-    let mut rest = buf.split_off(head_end);
-    let body = if chunked {
-        let mut decoded = Vec::new();
-        loop {
-            let line_end = loop {
-                if let Some(at) = find_subslice(&rest, b"\r\n") {
-                    break at;
-                }
-                fill(&mut rest, stream)?;
-            };
-            let size_text = String::from_utf8_lossy(&rest[..line_end]).to_string();
-            let size = usize::from_str_radix(size_text.trim(), 16)
-                .map_err(|_| Error::new(ErrorKind::InvalidData, "bad chunk size"))?;
-            rest.drain(..line_end + 2);
-            if size == 0 {
-                while rest.len() < 2 {
-                    fill(&mut rest, stream)?;
-                }
-                break;
-            }
-            while rest.len() < size + 2 {
-                fill(&mut rest, stream)?;
-            }
-            decoded.extend_from_slice(&rest[..size]);
-            rest.drain(..size + 2);
-        }
-        decoded
-    } else {
-        while rest.len() < content_length {
-            fill(&mut rest, stream)?;
-        }
-        rest.truncate(content_length);
-        rest
-    };
-    Ok((status, String::from_utf8_lossy(&body).to_string(), keep_alive, retry_after))
-}
-
-/// One HTTP round-trip over this thread's keep-alive connection:
-/// returns (status, body, Retry-After). A request that fails on a
-/// *reused* connection (the daemon may have timed an idle connection
-/// out) retries exactly once on a fresh one.
-fn http(addr: std::net::SocketAddr, request: &str) -> Result<(u16, String, Option<u64>), String> {
-    CONN.with(|slot| {
+/// Runs `op` on this thread's client for `addr` and adds the requests
+/// and connects it made to the reuse record.
+fn with_client<T>(addr: SocketAddr, op: impl FnOnce(&WorkerClient) -> T) -> T {
+    CLIENT.with(|slot| {
         let mut slot = slot.borrow_mut();
-        if slot.as_ref().is_some_and(|(a, _)| *a != addr) {
+        let addr = addr.to_string();
+        if slot.as_ref().is_some_and(|c| c.addr() != addr) {
             *slot = None;
         }
-        let mut attempt = 0;
-        loop {
-            attempt += 1;
-            let reused = slot.is_some();
-            if slot.is_none() {
-                let stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
-                let _ = stream.set_nodelay(true);
-                CONNECTS_OPENED.fetch_add(1, Ordering::Relaxed);
-                *slot = Some((addr, stream));
-            }
-            let outcome = match slot.as_mut() {
-                Some((_, stream)) => {
-                    stream.write_all(request.as_bytes()).and_then(|()| read_response(stream))
-                }
-                None => unreachable!("connection installed above"),
-            };
-            match outcome {
-                Ok((status, body, keep_alive, retry_after)) => {
-                    REQUESTS_DONE.fetch_add(1, Ordering::Relaxed);
-                    if !keep_alive {
-                        *slot = None;
-                    }
-                    return Ok((status, body, retry_after));
-                }
-                Err(e) => {
-                    *slot = None;
-                    if !reused || attempt >= 2 {
-                        return Err(format!("request: {e}"));
-                    }
-                }
-            }
-        }
+        let client = slot.get_or_insert_with(|| WorkerClient::new(addr, IO_TIMEOUT));
+        let (requests, connects) = (client.requests(), client.connections());
+        let out = op(client);
+        REQUESTS_DONE.fetch_add(client.requests() - requests, Ordering::Relaxed);
+        CONNECTS_OPENED.fetch_add(client.connections() - connects, Ordering::Relaxed);
+        out
     })
 }
 
@@ -325,74 +219,50 @@ fn http(addr: std::net::SocketAddr, request: &str) -> Result<(u16, String, Optio
 static RETRIES_HONORED: AtomicU64 = AtomicU64::new(0);
 static RETRIES_RECOVERED: AtomicU64 = AtomicU64::new(0);
 
-fn post_scan_once(
-    addr: std::net::SocketAddr,
-    body: &str,
-    traced: bool,
-) -> Result<(u16, String, Option<u64>), String> {
-    let trace_line = if traced {
-        format!("X-Omega-Trace: {}\r\n", client_trace_header())
-    } else {
-        String::new()
-    };
-    let request = format!(
-        "POST /scan HTTP/1.1\r\nHost: loadgen\r\n{trace_line}Content-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    http(addr, &request)
+fn post_scan_once(addr: SocketAddr, body: &str, traced: bool) -> Result<ClientResponse, String> {
+    let trace = traced.then(client_trace_header);
+    let headers: Vec<(&str, &str)> = trace.iter().map(|t| ("X-Omega-Trace", t.as_str())).collect();
+    with_client(addr, |c| c.request("POST", "/scan", &headers, body))
 }
 
 /// POSTs a scan, honoring back-pressure: one 429 sleeps the daemon's
 /// `Retry-After` (bounded by [`MAX_RETRY_BACKOFF_MS`]) and retries
 /// exactly once; the retry's status is final either way.
-fn post_scan(
-    addr: std::net::SocketAddr,
-    body: &str,
-    traced: bool,
-) -> Result<(u16, String), String> {
-    let (status, resp, retry_after) = post_scan_once(addr, body, traced)?;
-    if status != 429 {
-        return Ok((status, resp));
+fn post_scan(addr: SocketAddr, body: &str, traced: bool) -> Result<(u16, String), String> {
+    let first = post_scan_once(addr, body, traced)?;
+    if first.status != 429 {
+        return Ok((first.status, first.body));
     }
     RETRIES_HONORED.fetch_add(1, Ordering::Relaxed);
-    let backoff_ms = retry_after.unwrap_or(1).saturating_mul(1000).min(MAX_RETRY_BACKOFF_MS);
+    let backoff_ms = first.retry_after.unwrap_or(1).saturating_mul(1000).min(MAX_RETRY_BACKOFF_MS);
     std::thread::sleep(Duration::from_millis(backoff_ms));
-    let (status, resp, _) = post_scan_once(addr, body, traced)?;
-    if status < 400 {
+    let retry = post_scan_once(addr, body, traced)?;
+    if retry.status < 400 {
         RETRIES_RECOVERED.fetch_add(1, Ordering::Relaxed);
     }
-    Ok((status, resp))
+    Ok((retry.status, retry.body))
 }
 
-fn get(addr: std::net::SocketAddr, path: &str) -> Result<(u16, String), String> {
-    http(addr, &format!("GET {path} HTTP/1.1\r\nHost: loadgen\r\n\r\n")).map(|(s, b, _)| (s, b))
+fn get(addr: SocketAddr, path: &str) -> Result<(u16, String), String> {
+    with_client(addr, |c| c.get(path)).map(|r| (r.status, r.body))
 }
 
-/// Submits payload `i` and polls the job to a terminal state. Returns
+/// Submits payload `i` and waits for the job to finish. Returns
 /// submit-to-done latency.
-fn fill_one(addr: std::net::SocketAddr, i: usize, traced: bool) -> Result<Duration, String> {
+fn fill_one(addr: SocketAddr, i: usize, traced: bool) -> Result<Duration, String> {
     let t0 = Instant::now();
     let (status, body) = post_scan(addr, &scan_body(i), traced)?;
     if status != 202 {
         return Err(format!("fill expected 202, got {status}: {body}"));
     }
     let parsed = omega_obs::parse_json(&body).map_err(|e| e.to_string())?;
-    let id = parsed
-        .get("job")
-        .and_then(|v| v.as_str())
-        .ok_or_else(|| format!("no job id in {body}"))?
-        .to_string();
-    loop {
-        let (status, body) = get(addr, &format!("/jobs/{id}"))?;
-        if status != 200 {
-            return Err(format!("poll expected 200, got {status}: {body}"));
-        }
-        let parsed = omega_obs::parse_json(&body).map_err(|e| e.to_string())?;
-        match parsed.get("state").and_then(|v| v.as_str()) {
-            Some("done") => return Ok(t0.elapsed()),
-            Some("queued" | "running") => std::thread::sleep(Duration::from_millis(2)),
-            other => return Err(format!("job {id} reached {other:?}: {body}")),
-        }
+    let id =
+        parsed.get("job").and_then(|v| v.as_str()).ok_or_else(|| format!("no job id in {body}"))?;
+    let done = with_client(addr, |c| c.wait_job(id, t0 + IO_TIMEOUT))?;
+    let parsed = omega_obs::parse_json(&done).map_err(|e| e.to_string())?;
+    match parsed.get("state").and_then(|v| v.as_str()) {
+        Some("done") => Ok(t0.elapsed()),
+        other => Err(format!("job {id} reached {other:?}: {done}")),
     }
 }
 

@@ -438,7 +438,7 @@ pub fn table4(threads: &[usize]) -> String {
     }
     out.push_str(&format!(
         "\nhost has {} core(s); the paper's 4-core i7-6700HQ scales 99.8 -> 433.1 M/s\n\
-         from 1 to 8 threads (Table IV). On a single-core host the curve is flat.\n",
+         from 1 to 8 threads (Table IV). Past the host's core count the curve is flat.\n",
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
     ));
     out

@@ -3,7 +3,7 @@
 //! formatting.
 //!
 //! The harness separates *functional* execution (scaled-down datasets the
-//! single-core host can actually compute) from *workload-model*
+//! 2-vCPU benchmark host can compute) from *workload-model*
 //! evaluation (per-position combination counts fed to the accelerator
 //! cost models), which is how the figures that sweep to 20,000 SNPs are
 //! regenerated without executing 10¹¹ ω computations functionally — the

@@ -19,8 +19,8 @@ use omega_accel::DetectionOutcome;
 use omega_core::ScanStats;
 use omega_obs::JsonValue;
 
-use crate::client::WorkerClient;
 use crate::ring::HashRing;
+use crate::WorkerClient;
 
 /// One worker endpoint and its tracked state.
 #[derive(Debug)]
@@ -198,49 +198,24 @@ fn try_worker(
             let job = v
                 .get("job")
                 .and_then(JsonValue::as_str)
-                .ok_or_else(|| Attempt::Failed("202 body without a job id".into()))?
-                .to_string();
-            poll_job(worker, &job, timeout)
+                .ok_or_else(|| Attempt::Failed("202 body without a job id".into()))?;
+            let body =
+                worker.client.wait_job(job, Instant::now() + timeout).map_err(Attempt::Failed)?;
+            outcome_from_job_json(&body).ok_or_else(|| Attempt::Failed(job_failure(&body)))
         }
         429 => Err(Attempt::Busy { retry_after: response.retry_after.unwrap_or(1) }),
-        other => Err(Attempt::Failed(format!("status {other}: {}", truncate(&response.body)))),
+        other => Err(Attempt::Failed(format!("status {other}: {:.200}", response.body))),
     }
 }
 
-fn poll_job(
-    worker: &Worker,
-    job: &str,
-    timeout: Duration,
-) -> Result<(DetectionOutcome, bool), Attempt> {
-    let deadline = Instant::now() + timeout;
-    let path = format!("/jobs/{job}");
-    loop {
-        let response = worker.client.get(&path).map_err(Attempt::Failed)?;
-        if response.status != 200 {
-            return Err(Attempt::Failed(format!("poll status {}", response.status)));
-        }
-        let v = omega_obs::parse_json(&response.body)
-            .map_err(|e| Attempt::Failed(format!("unparseable job body: {e}")))?;
-        match v.get("state").and_then(JsonValue::as_str).unwrap_or("") {
-            "done" => {
-                return outcome_from_job_json(&response.body)
-                    .ok_or_else(|| Attempt::Failed("done job without a parseable result".into()));
-            }
-            "failed" | "expired" => {
-                let why = v.get("error").and_then(JsonValue::as_str).unwrap_or("job failed");
-                return Err(Attempt::Failed(why.to_string()));
-            }
-            _ => {}
-        }
-        if Instant::now() >= deadline {
-            return Err(Attempt::Failed(format!("shard timed out after {timeout:?}")));
-        }
-        std::thread::sleep(Duration::from_millis(1));
+/// Why a terminal job body holds no usable result: the `error` of a
+/// failed/expired job, or a done job whose result does not parse.
+fn job_failure(body: &str) -> String {
+    let v = omega_obs::parse_json(body).ok();
+    match v.as_ref().and_then(|v| v.get("error")).and_then(JsonValue::as_str) {
+        Some(why) => why.to_string(),
+        None => "job finished without a parseable result".to_string(),
     }
-}
-
-fn truncate(text: &str) -> &str {
-    &text[..text.len().min(200)]
 }
 
 /// Rebuilds a [`DetectionOutcome`] from a worker's job JSON. Functional

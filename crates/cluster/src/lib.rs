@@ -19,12 +19,11 @@
 //!   429, the coordinator answers 429 with the smallest `Retry-After`
 //!   it observed.
 
-pub mod client;
 pub mod coordinator;
 pub mod dispatch;
 pub mod ring;
 
-pub use client::{ClientResponse, WorkerClient};
 pub use coordinator::{register_instruments, start, ClusterConfig, ClusterHandle};
 pub use dispatch::{outcome_from_job_json, ShardError, ShardSuccess, Worker, WorkerPool};
+pub use omega_serve::client::{ClientResponse, WorkerClient};
 pub use ring::{affinity_key, HashRing};

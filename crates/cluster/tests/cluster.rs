@@ -3,7 +3,7 @@
 //! daemon, failover when a worker dies mid-scan, cache-affinity
 //! routing, and upward 429/`Retry-After` propagation.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use omega_cluster::{affinity_key, ClusterConfig, HashRing, WorkerClient};
 use omega_serve::{ServeConfig, ServeHandle};
@@ -117,17 +117,10 @@ fn single_node_result(body: &str) -> String {
         200 => resp.body,
         202 => {
             let parsed = omega_obs::parse_json(&resp.body).expect("job json");
-            let id = parsed.get("job").and_then(|v| v.as_str()).expect("job id").to_string();
-            loop {
-                let poll = c.get(&format!("/jobs/{id}")).expect("poll");
-                assert_eq!(poll.status, 200, "{}", poll.body);
-                let parsed = omega_obs::parse_json(&poll.body).expect("poll json");
-                match parsed.get("state").and_then(|v| v.as_str()) {
-                    Some("done") => break poll.body,
-                    Some("queued" | "running") => std::thread::sleep(Duration::from_millis(2)),
-                    other => panic!("job reached {other:?}: {}", poll.body),
-                }
-            }
+            let id = parsed.get("job").and_then(|v| v.as_str()).expect("job id");
+            let done = c.wait_job(id, Instant::now() + Duration::from_secs(30)).expect("job ends");
+            assert!(done.contains("\"state\":\"done\""), "job did not finish: {done}");
+            done
         }
         other => panic!("single-node scan returned {other}: {}", resp.body),
     };

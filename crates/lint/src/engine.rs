@@ -2,11 +2,12 @@
 //!
 //! Two passes share one parse:
 //!
-//! 1. **Lexical** — the token-tree traversal inherited from the v1
-//!    walker (same `#[cfg(test)]` skip semantics, same adjacency
-//!    windows), dispatching to each rule's [`Rule::at_token`] hook.
-//!    The five ported v1 rules live entirely here; the parity test
-//!    pins them byte-identical to [`crate::legacy`].
+//! 1. **Lexical** — a token-tree traversal (skipping `#[cfg(test)]`
+//!    items, matching on adjacency windows) that dispatches to each
+//!    rule's [`Rule::at_token`] hook. The five token rules
+//!    (counter-registry, float-total-order, no-f64-kernel,
+//!    no-panic-lib, unit-hygiene) live entirely here, pinned by their
+//!    good/bad/waived fixtures in `tests/rules.rs`.
 //! 2. **Function-level** — [`crate::scopes::ItemTree`] finds the
 //!    non-test function bodies, [`crate::dataflow::FnAnalysis`]
 //!    linearizes each into an event stream, and every rule's

@@ -26,7 +26,9 @@
 //! Networking is a deliberately small hand-rolled HTTP/1.1 layer
 //! ([`http`]) over `std::net` — the workspace's offline vendor policy
 //! means no async runtime and no HTTP dependency, and the daemon's
-//! request shapes don't need one. Everything observable flows through
+//! request shapes don't need one. Its counterpart [`client`] is the one
+//! client that reads those responses back: the coordinator, `loadgen`
+//! and the tests all use it. Everything observable flows through
 //! `omega-obs` instruments (all registered in
 //! `omega_obs::names::INSTRUMENTS`) and is exported by `GET /stats`.
 //!
@@ -42,6 +44,7 @@
 //! ```
 
 pub mod cache;
+pub mod client;
 pub mod digest;
 pub mod http;
 pub mod job;

@@ -2,14 +2,26 @@
 
 #![allow(dead_code)]
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-/// One raw round-trip on a fresh connection: returns (status, full
-/// header block, body). The server holds HTTP/1.1 connections open for
-/// reuse, so the response is parsed by its framing (`Content-Length`
-/// or chunked) rather than by waiting for EOF.
+use omega_serve::client::{read_response, ClientResponse, WorkerClient};
+
+const TIMEOUT: Duration = Duration::from_secs(30);
+
+/// A fresh keep-alive client (one new connection) for `addr`.
+pub fn client(addr: SocketAddr) -> WorkerClient {
+    WorkerClient::new(addr.to_string(), TIMEOUT)
+}
+
+fn parts(r: ClientResponse) -> (u16, String, String) {
+    (r.status, r.head, r.body)
+}
+
+/// One raw request on a fresh connection: returns (status, header
+/// block, body). For requests the client would never write (malformed
+/// or hostile framing).
 pub fn raw(addr: SocketAddr, request: &[u8]) -> (u16, String, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream.set_nodelay(true).expect("nodelay");
@@ -20,77 +32,15 @@ pub fn raw(addr: SocketAddr, request: &[u8]) -> (u16, String, String) {
 /// Reads one framed response off `stream`; the connection stays usable
 /// afterwards if the server kept it alive.
 pub fn read_framed(stream: &mut TcpStream) -> (u16, String, String) {
-    let mut buf: Vec<u8> = Vec::with_capacity(4096);
-    let mut tmp = [0u8; 4096];
-    let mut fill = |buf: &mut Vec<u8>, stream: &mut TcpStream| {
-        let n = stream.read(&mut tmp).expect("read");
-        assert!(n > 0, "connection closed mid-response: {:?}", String::from_utf8_lossy(buf));
-        buf.extend_from_slice(&tmp[..n]);
-    };
-    let head_end = loop {
-        if let Some(at) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            break at + 4;
-        }
-        fill(&mut buf, stream);
-    };
-    let head = String::from_utf8_lossy(&buf[..head_end - 4]).to_string();
-    let status = head.split_whitespace().nth(1).and_then(|s| s.parse().ok()).unwrap_or(0);
-    let mut content_length = 0usize;
-    let mut chunked = false;
-    for line in head.lines().skip(1) {
-        let Some((name, value)) = line.split_once(':') else { continue };
-        match name.trim().to_ascii_lowercase().as_str() {
-            "content-length" => content_length = value.trim().parse().unwrap_or(0),
-            "transfer-encoding" => chunked = value.trim().eq_ignore_ascii_case("chunked"),
-            _ => {}
-        }
-    }
-    let mut rest = buf.split_off(head_end);
-    let body = if chunked {
-        let mut decoded = Vec::new();
-        loop {
-            let line_end = loop {
-                if let Some(at) = rest.windows(2).position(|w| w == b"\r\n") {
-                    break at;
-                }
-                fill(&mut rest, stream);
-            };
-            let size = usize::from_str_radix(String::from_utf8_lossy(&rest[..line_end]).trim(), 16)
-                .expect("chunk size parses");
-            rest.drain(..line_end + 2);
-            if size == 0 {
-                while rest.len() < 2 {
-                    fill(&mut rest, stream);
-                }
-                break;
-            }
-            while rest.len() < size + 2 {
-                fill(&mut rest, stream);
-            }
-            decoded.extend_from_slice(&rest[..size]);
-            rest.drain(..size + 2);
-        }
-        decoded
-    } else {
-        while rest.len() < content_length {
-            fill(&mut rest, stream);
-        }
-        rest.truncate(content_length);
-        rest
-    };
-    (status, head, String::from_utf8_lossy(&body).to_string())
+    parts(read_response(stream).expect("framed response").0)
 }
 
 pub fn get(addr: SocketAddr, path: &str) -> (u16, String, String) {
-    raw(addr, format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes())
+    parts(client(addr).get(path).expect("GET"))
 }
 
 pub fn post_scan(addr: SocketAddr, body: &str) -> (u16, String, String) {
-    raw(
-        addr,
-        format!("POST /scan HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}", body.len())
-            .as_bytes(),
-    )
+    parts(client(addr).post("/scan", body).expect("POST /scan"))
 }
 
 /// A small deterministic ms payload; `tag` varies the content.
@@ -123,25 +73,8 @@ pub fn job_id(body: &str) -> String {
     v.get("job").and_then(|x| x.as_str()).expect("job id present").to_string()
 }
 
-/// Polls `GET /jobs/<id>` until the job leaves queued/running; returns
-/// the final response body.
+/// Waits for job `id` to leave queued/running; returns the terminal job
+/// body.
 pub fn poll_done(addr: SocketAddr, id: &str) -> String {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let (status, _, body) = get(addr, &format!("/jobs/{id}"));
-        assert_eq!(status, 200, "poll {id}: {body}");
-        let state = omega_obs::parse_json(&body)
-            .expect("job body parses")
-            .get("state")
-            .and_then(|v| v.as_str())
-            .expect("state present")
-            .to_string();
-        match state.as_str() {
-            "queued" | "running" => {
-                assert!(Instant::now() < deadline, "job {id} stuck in {state}");
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            _ => return body,
-        }
-    }
+    client(addr).wait_job(id, Instant::now() + TIMEOUT).expect("job reaches a terminal state")
 }

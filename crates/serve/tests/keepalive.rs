@@ -1,5 +1,7 @@
 //! Keep-alive, response streaming, and request-framing hardening, over
-//! real loopback connections.
+//! real loopback connections. Raw sockets write the requests so the
+//! framing under test is exactly what goes on the wire; the one client
+//! parser reads the responses back.
 
 mod common;
 

@@ -18,15 +18,10 @@ fn boot() -> ServeHandle {
 
 /// POST /scan with an explicit `X-Omega-Trace` header.
 fn post_traced(addr: SocketAddr, body: &str, trace: &str) -> (u16, String, String) {
-    common::raw(
-        addr,
-        format!(
-            "POST /scan HTTP/1.1\r\nHost: t\r\nX-Omega-Trace: {trace}\r\n\
-             Content-Length: {}\r\n\r\n{body}",
-            body.len()
-        )
-        .as_bytes(),
-    )
+    let r = common::client(addr)
+        .request("POST", "/scan", &[("X-Omega-Trace", trace)], body)
+        .expect("traced POST /scan");
+    (r.status, r.head, r.body)
 }
 
 /// Fetches `/traces/<hex>` with a short retry window: the span tree is

@@ -3,15 +3,18 @@
 //! finished results must come back byte-identical from the store, and
 //! repeats must be warm-cache hits.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader};
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use omega_serve::client::WorkerClient;
+
+const TIMEOUT: Duration = Duration::from_secs(30);
+
 struct Daemon {
     child: Child,
-    addr: String,
+    client: WorkerClient,
 }
 
 fn spawn_daemon(data_dir: &Path) -> Daemon {
@@ -37,43 +40,7 @@ fn spawn_daemon(data_dir: &Path) -> Daemon {
     };
     // Keep draining stderr so the daemon never blocks on a full pipe.
     std::thread::spawn(move || for _ in lines {});
-    Daemon { child, addr }
-}
-
-/// One `Connection: close` round-trip; small responses always carry
-/// `Content-Length`, so EOF delimits the body.
-fn http(addr: &str, request: &str) -> (u16, String) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let mut stream = loop {
-        match TcpStream::connect(addr) {
-            Ok(s) => break s,
-            Err(e) => {
-                assert!(Instant::now() < deadline, "cannot connect to {addr}: {e}");
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
-    };
-    stream.write_all(request.as_bytes()).expect("write request");
-    let mut buf = Vec::new();
-    stream.read_to_end(&mut buf).expect("read response");
-    let text = String::from_utf8_lossy(&buf).to_string();
-    let status = text.split_whitespace().nth(1).and_then(|s| s.parse().ok()).unwrap_or(0);
-    let body = text.find("\r\n\r\n").map(|at| text[at + 4..].to_string()).unwrap_or_default();
-    (status, body)
-}
-
-fn get(addr: &str, path: &str) -> (u16, String) {
-    http(addr, &format!("GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"))
-}
-
-fn post_scan(addr: &str, body: &str) -> (u16, String) {
-    http(
-        addr,
-        &format!(
-            "POST /scan HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        ),
-    )
+    Daemon { child, client: WorkerClient::new(addr, TIMEOUT) }
 }
 
 fn scan_body() -> String {
@@ -109,10 +76,15 @@ fn result_object(body: &str) -> &str {
     panic!("unbalanced result object");
 }
 
-fn counter(addr: &str, name: &str) -> u64 {
-    let (status, stats) = get(addr, "/stats");
-    assert_eq!(status, 200);
-    omega_obs::parse_json(&stats)
+fn state(job_body: &str) -> Option<String> {
+    let v = omega_obs::parse_json(job_body).expect("job body parses");
+    v.get("state").and_then(|v| v.as_str()).map(str::to_string)
+}
+
+fn counter(client: &WorkerClient, name: &str) -> u64 {
+    let stats = client.get("/stats").expect("GET /stats");
+    assert_eq!(stats.status, 200);
+    omega_obs::parse_json(&stats.body)
         .expect("stats parse")
         .get("counters")
         .and_then(|c| c.get(name))
@@ -129,33 +101,16 @@ fn sigkilled_daemon_recovers_results_byte_identical() {
 
     // Load the daemon: one scan run to completion.
     let body = scan_body();
-    let (status, submit) = post_scan(&daemon.addr, &body);
-    assert_eq!(status, 202, "{submit}");
-    let id = omega_obs::parse_json(&submit)
+    let submit = daemon.client.post("/scan", &body).expect("POST /scan");
+    assert_eq!(submit.status, 202, "{}", submit.body);
+    let id = omega_obs::parse_json(&submit.body)
         .expect("submit parses")
         .get("job")
         .and_then(|v| v.as_str())
         .expect("job id")
         .to_string();
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let done_before = loop {
-        let (status, poll) = get(&daemon.addr, &format!("/jobs/{id}"));
-        assert_eq!(status, 200, "{poll}");
-        let state = omega_obs::parse_json(&poll)
-            .expect("poll parses")
-            .get("state")
-            .and_then(|v| v.as_str())
-            .expect("state")
-            .to_string();
-        match state.as_str() {
-            "done" => break poll,
-            "queued" | "running" => {
-                assert!(Instant::now() < deadline, "job stuck in {state}");
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            other => panic!("job reached {other}: {poll}"),
-        }
-    };
+    let done_before = daemon.client.wait_job(&id, Instant::now() + TIMEOUT).expect("job finishes");
+    assert_eq!(state(&done_before).as_deref(), Some("done"), "{done_before}");
 
     // SIGKILL: no drain, no shutdown hooks — the WAL and store are all
     // that survives.
@@ -166,16 +121,10 @@ fn sigkilled_daemon_recovers_results_byte_identical() {
 
     // The finished job answers under its original id with the exact
     // pre-crash result bytes.
-    let (status, done_after) = get(&reborn.addr, &format!("/jobs/{id}"));
-    assert_eq!(status, 200, "{done_after}");
-    assert_eq!(
-        omega_obs::parse_json(&done_after)
-            .expect("recovered poll parses")
-            .get("state")
-            .and_then(|v| v.as_str()),
-        Some("done"),
-        "{done_after}"
-    );
+    let recovered = reborn.client.get(&format!("/jobs/{id}")).expect("GET /jobs/<id>");
+    let done_after = recovered.body;
+    assert_eq!(recovered.status, 200, "{done_after}");
+    assert_eq!(state(&done_after).as_deref(), Some("done"), "{done_after}");
     assert_eq!(
         result_object(&done_before),
         result_object(&done_after),
@@ -184,11 +133,11 @@ fn sigkilled_daemon_recovers_results_byte_identical() {
 
     // A repeat submission is a warm-cache hit: inline 200, zero misses
     // in the reborn process.
-    let (status, replay) = post_scan(&reborn.addr, &body);
-    assert_eq!(status, 200, "warm hit expected: {replay}");
-    assert_eq!(result_object(&done_before), result_object(&replay), "bit-identical");
-    assert_eq!(counter(&reborn.addr, "serve.cache_misses"), 0, "no cold misses after reboot");
-    assert!(counter(&reborn.addr, "serve.store_rehydrated") >= 1, "store primed the cache");
+    let replay = reborn.client.post("/scan", &body).expect("POST /scan");
+    assert_eq!(replay.status, 200, "warm hit expected: {}", replay.body);
+    assert_eq!(result_object(&done_before), result_object(&replay.body), "bit-identical");
+    assert_eq!(counter(&reborn.client, "serve.cache_misses"), 0, "no cold misses after reboot");
+    assert!(counter(&reborn.client, "serve.store_rehydrated") >= 1, "store primed the cache");
 
     reborn.child.kill().expect("cleanup kill");
     let _ = reborn.child.wait();
