@@ -15,17 +15,15 @@
 //!
 //! The only quantities that move are the matrix-reuse counters: the
 //! first position of a shard rebuilds its matrix from scratch, so pairs
-//! the single-node scan *relocated* are *recomputed* by the shard. That
-//! is exactly the seam-loss model the multithreaded scan already uses
-//! ([`omega_core::seam_loss`]): cutting the grid between consecutive
-//! advancing positions forfeits one chain edge. [`partition`] accounts
-//! the edges its cuts break (deduplicated — two cuts spanning the same
-//! edge forfeit it once), and [`merge_outcomes`] adds the loss back, so
-//! the merged `r2_pairs` / `cells_reused` equal the single-node scan's.
+//! the single-node scan *relocated* are *recomputed* by the shard. Thread
+//! runs and shards are the same cut at two granularities: [`partition`]
+//! takes its shards from the one grid cutter
+//! ([`omega_core::GridChain::balanced`]) and prices them with its one
+//! seam-loss ledger ([`omega_core::GridChain::broken_reuse`]), and
+//! [`merge_outcomes`] adds the loss back, so the merged `r2_pairs` /
+//! `cells_reused` equal the single-node scan's.
 
-use omega_core::{
-    grid_position_bp, seam_loss, BorderSet, GridPlan, PositionResult, ScanParams, ScanStats,
-};
+use omega_core::{GridChain, GridPlan, PositionResult, ScanParams, ScanStats};
 use omega_genome::Alignment;
 
 use crate::backend::DetectionOutcome;
@@ -107,72 +105,28 @@ impl Partition {
 /// Returns `None` for an empty grid or alignment (nothing to shard).
 pub fn partition(alignment: &Alignment, params: &ScanParams, n_shards: usize) -> Option<Partition> {
     let plan = GridPlan::build(alignment, params);
-    let n = plan.len();
-    if n == 0 || alignment.n_sites() == 0 {
+    if plan.is_empty() {
         return None;
     }
-    let first_bp = alignment.position(0);
-    let last_bp = alignment.position(alignment.n_sites() - 1);
-    let k = n_shards.clamp(1, n);
-
-    // Per-position workload weight; floor 1 so empty positions still
-    // spread across shards instead of collapsing boundaries.
-    let plans = plan.positions();
-    let mut advances = Vec::with_capacity(n);
-    let mut weights = Vec::with_capacity(n);
-    for pp in plans {
-        let combos = BorderSet::build(alignment, pp, params).map_or(0, |b| b.n_combinations());
-        advances.push(combos > 0);
-        weights.push(combos.max(1));
-    }
-    let total: u128 = weights.iter().map(|&w| u128::from(w)).sum();
-
-    // Cut at the prefix-weight quantiles, forcing strict progress so
-    // every shard holds at least one position.
-    let mut cuts = Vec::with_capacity(k + 1);
-    cuts.push(0usize);
-    let mut prefix: u128 = 0;
-    let mut pos = 0usize;
-    for s in 1..k {
-        let target = total * s as u128 / k as u128;
-        while pos < n && prefix < target {
-            prefix += u128::from(weights[pos]);
-            pos += 1;
-        }
-        let at_least = cuts[s - 1] + 1;
-        let at_most = n - (k - s);
-        cuts.push(pos.clamp(at_least, at_most));
-        pos = cuts[s];
-        prefix = weights[..pos].iter().map(|&w| u128::from(w)).sum();
-    }
-    cuts.push(n);
-
-    // Chain edges between consecutive advancing positions (the model
-    // `plan_runs` uses); a cut at grid index c breaks the edge with
-    // p < c <= q. Two cuts inside one edge break it once.
-    let adv: Vec<usize> = (0..n).filter(|&i| advances[i]).collect();
-    let edges: Vec<(usize, usize, u64)> =
-        adv.windows(2).map(|w| (w[0], w[1], seam_loss(&plans[w[0]], &plans[w[1]]))).collect();
-    let mut broken = vec![false; edges.len()];
-    for &c in &cuts[1..k] {
-        if let Some(e) = edges.iter().position(|&(p, q, _)| p < c && c <= q) {
-            broken[e] = true;
-        }
-    }
-    let broken_reuse: u64 =
-        edges.iter().zip(&broken).filter(|(_, &b)| b).map(|(&(_, _, loss), _)| loss).sum();
-
-    let shards = cuts
-        .windows(2)
-        .map(|w| {
-            let (lo, hi) = (w[0], w[1]);
-            let site_lo = plans[lo..hi].iter().map(|p| p.lo).min().unwrap_or(0);
-            let site_hi = plans[lo..hi].iter().map(|p| p.hi).max().unwrap_or(0);
-            ShardPart { grid_lo: lo, grid_hi: hi, site_lo, site_hi: site_hi.max(site_lo) }
+    let chain = GridChain::build(alignment, &plan, params);
+    let parts = chain.balanced(n_shards);
+    let broken_reuse = chain.broken_reuse(&parts);
+    let shards = parts
+        .into_iter()
+        .map(|r| {
+            let plans = &plan.positions()[r.clone()];
+            let site_lo = plans.iter().map(|p| p.lo).min().unwrap_or(0);
+            let site_hi = plans.iter().map(|p| p.hi).max().unwrap_or(0);
+            ShardPart { grid_lo: r.start, grid_hi: r.end, site_lo, site_hi: site_hi.max(site_lo) }
         })
         .collect();
-
-    Some(Partition { first_bp, last_bp, grid: params.grid, shards, broken_reuse })
+    Some(Partition {
+        first_bp: alignment.position(0),
+        last_bp: alignment.position(alignment.n_sites() - 1),
+        grid: params.grid,
+        shards,
+        broken_reuse,
+    })
 }
 
 /// Slices the sites a shard needs out of the full alignment, keeping
@@ -194,16 +148,9 @@ pub fn shard_grid_plan(
     spec: &ShardSpec,
     params: &ScanParams,
 ) -> Option<GridPlan> {
-    if !spec.is_valid() {
-        return None;
-    }
-    let positions = (spec.lo..spec.hi)
-        .map(|i| {
-            let pos_bp = grid_position_bp(spec.first_bp, spec.last_bp, spec.grid, i);
-            GridPlan::plan_at(alignment, pos_bp, params)
-        })
-        .collect();
-    Some(GridPlan::from_positions(positions))
+    spec.is_valid().then(|| {
+        GridPlan::place(alignment, params, spec.first_bp, spec.last_bp, spec.grid, spec.lo..spec.hi)
+    })
 }
 
 /// Merges per-shard outcomes (in shard order) into the single-node
@@ -235,8 +182,8 @@ pub fn merge_outcomes(
     Some(merged)
 }
 
-/// Convenience check used by tests and the coordinator's self-audit:
-/// per-position results equal bit-for-bit.
+/// Per-position results equal bit-for-bit (the shard tests' identity
+/// check).
 pub fn results_identical(a: &[PositionResult], b: &[PositionResult]) -> bool {
     a.len() == b.len()
         && a.iter().zip(b).all(|(x, y)| {

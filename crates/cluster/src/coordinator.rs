@@ -93,6 +93,7 @@ impl Default for ClusterConfig {
 pub fn register_instruments() {
     omega_obs::counter!("cluster.conn_retries").add(0);
     omega_obs::counter!("cluster.failovers").add(0);
+    omega_obs::counter!("cluster.invalid_shard_results").add(0);
     omega_obs::counter!("cluster.local_shards").add(0);
     omega_obs::counter!("cluster.rejected").add(0);
     omega_obs::counter!("cluster.requests").add(0);
@@ -136,6 +137,8 @@ impl Response {
 
 /// One shard's worth of scatter work for one replicate.
 struct ShardJob {
+    /// The grid slice the worker must return.
+    spec: omega_accel::ShardSpec,
     /// Sub-request JSON, ready to send.
     body: String,
     /// Affinity key over (payload digest, grid slice).
@@ -270,7 +273,7 @@ fn handle_scan(shared: &Shared, http_request: &Request) -> Response {
                     };
                     let affinity = affinity_key(request.payload_digest, spec.lo, spec.hi);
                     slots.push(Slot::Remote(remote.len()));
-                    remote.push(ShardJob { body, affinity });
+                    remote.push(ShardJob { spec, body, affinity });
                 }
                 plans.push((Some(part), slots));
             }
@@ -300,7 +303,7 @@ fn handle_scan(shared: &Shared, http_request: &Request) -> Response {
     let results: Vec<Result<crate::dispatch::ShardSuccess, ShardError>> = std::thread::scope(|s| {
         let handles: Vec<_> = remote
             .iter()
-            .map(|job| s.spawn(move || pool.run_shard(job.affinity, &job.body)))
+            .map(|job| s.spawn(move || pool.run_shard(&job.spec, job.affinity, &job.body)))
             .collect();
         handles
             .into_iter()

@@ -10,13 +10,18 @@
 //! the next worker without marking anyone dead, and if *every* healthy
 //! worker is shedding load the 429 (with the smallest observed
 //! `Retry-After`) propagates upward to the coordinator's caller.
+//!
+//! A worker's answer is untrusted: a result that does not hold exactly
+//! the shard's global grid positions (stale cache, version skew, a
+//! bug) is a failed attempt like any other, counted as
+//! `cluster.invalid_shard_results`, and the shard re-dispatches.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use omega_accel::DetectionOutcome;
-use omega_core::ScanStats;
+use omega_accel::{DetectionOutcome, ShardSpec};
+use omega_core::{grid_position_bp, ScanStats};
 use omega_obs::JsonValue;
 
 use crate::ring::HashRing;
@@ -132,8 +137,13 @@ impl WorkerPool {
     }
 
     /// Runs one shard to completion somewhere in the pool. `body` is the
-    /// ready-to-send sub-request JSON.
-    pub fn run_shard(&self, affinity: u64, body: &str) -> Result<ShardSuccess, ShardError> {
+    /// ready-to-send sub-request JSON for the grid slice `spec`.
+    pub fn run_shard(
+        &self,
+        spec: &ShardSpec,
+        affinity: u64,
+        body: &str,
+    ) -> Result<ShardSuccess, ShardError> {
         let order = self.dispatch_order(affinity);
         let mut min_retry: Option<u64> = None;
         let mut last_failure = String::from("no workers configured");
@@ -141,7 +151,7 @@ impl WorkerPool {
             let worker = &self.workers[worker_index];
             omega_obs::counter!("cluster.shards_dispatched").inc();
             let started = Instant::now();
-            match try_worker(worker, body, self.shard_timeout) {
+            match try_worker(worker, spec, body, self.shard_timeout) {
                 Ok((outcome, cached)) => {
                     omega_obs::histogram!("cluster.shard_ns")
                         .record(started.elapsed().as_nanos() as u64);
@@ -181,17 +191,15 @@ enum Attempt {
 
 fn try_worker(
     worker: &Worker,
+    spec: &ShardSpec,
     body: &str,
     timeout: Duration,
 ) -> Result<(DetectionOutcome, bool), Attempt> {
     let response = worker.client.post("/scan", body).map_err(Attempt::Failed)?;
-    match response.status {
-        200 => {
-            // Completed inline (result-cache hit on the worker).
-            let (outcome, cached) = outcome_from_job_json(&response.body)
-                .ok_or_else(|| Attempt::Failed("unparseable 200 job body".into()))?;
-            Ok((outcome, cached))
-        }
+    let (outcome, cached) = match response.status {
+        // Completed inline (result-cache hit on the worker).
+        200 => outcome_from_job_json(&response.body)
+            .ok_or_else(|| Attempt::Failed("unparseable 200 job body".into()))?,
         202 => {
             let v = omega_obs::parse_json(&response.body)
                 .map_err(|e| Attempt::Failed(format!("unparseable 202 body: {e}")))?;
@@ -201,11 +209,30 @@ fn try_worker(
                 .ok_or_else(|| Attempt::Failed("202 body without a job id".into()))?;
             let body =
                 worker.client.wait_job(job, Instant::now() + timeout).map_err(Attempt::Failed)?;
-            outcome_from_job_json(&body).ok_or_else(|| Attempt::Failed(job_failure(&body)))
+            outcome_from_job_json(&body).ok_or_else(|| Attempt::Failed(job_failure(&body)))?
         }
-        429 => Err(Attempt::Busy { retry_after: response.retry_after.unwrap_or(1) }),
-        other => Err(Attempt::Failed(format!("status {other}: {:.200}", response.body))),
+        429 => return Err(Attempt::Busy { retry_after: response.retry_after.unwrap_or(1) }),
+        other => return Err(Attempt::Failed(format!("status {other}: {:.200}", response.body))),
+    };
+    if !holds_shard_positions(&outcome, spec) {
+        omega_obs::counter!("cluster.invalid_shard_results").inc();
+        return Err(Attempt::Failed(format!(
+            "result does not hold grid positions {}..{} of the shard",
+            spec.lo, spec.hi
+        )));
     }
+    Ok((outcome, cached))
+}
+
+/// `true` when `outcome` holds exactly one result per grid index of
+/// `spec`, in order, each at the global position that index places.
+fn holds_shard_positions(outcome: &DetectionOutcome, spec: &ShardSpec) -> bool {
+    outcome.results.len() == spec.hi - spec.lo
+        && outcome
+            .results
+            .iter()
+            .zip(spec.lo..spec.hi)
+            .all(|(r, i)| r.pos_bp == grid_position_bp(spec.first_bp, spec.last_bp, spec.grid, i))
 }
 
 /// Why a terminal job body holds no usable result: the `error` of a

@@ -3,9 +3,11 @@
 //! daemon, failover when a worker dies mid-scan, cache-affinity
 //! routing, and upward 429/`Retry-After` propagation.
 
+use std::net::{SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
 
 use omega_cluster::{affinity_key, ClusterConfig, HashRing, WorkerClient};
+use omega_serve::http::{write_response, HttpConn};
 use omega_serve::{ServeConfig, ServeHandle};
 
 /// Deterministic ms payload: `n_reps` replicates of `n_sites` LCG-fair
@@ -212,6 +214,94 @@ fn worker_killed_mid_scan_fails_over_byte_identically() {
 
     coord.shutdown();
     survivor.shutdown();
+}
+
+/// Removes the first element of the job body's `"positions"` array.
+fn drop_first_position(job: &str) -> String {
+    let at = job.find("\"positions\":[").expect("positions array") + "\"positions\":[".len();
+    let end = at + job[at..].find('}').expect("position object") + 1;
+    let end = if job[end..].starts_with(',') { end + 1 } else { end };
+    format!("{}{}", &job[..at], &job[end..])
+}
+
+/// A misbehaving worker: proxies every request to the real daemon at
+/// `backing`, but answers each `POST /scan` with the finished job body
+/// missing its first position.
+fn boot_dropping_worker(backing: SocketAddr) -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr");
+    std::thread::spawn(move || {
+        for stream in listener.incoming().flatten() {
+            std::thread::spawn(move || {
+                let upstream = client(backing);
+                let mut conn = HttpConn::new(stream);
+                while let Ok(Some(request)) = conn.read_request(64 << 20) {
+                    let body = String::from_utf8_lossy(&request.body).into_owned();
+                    let (status, text) = if request.method == "POST" {
+                        let resp = upstream.post(&request.path, &body).expect("proxy post");
+                        match resp.status {
+                            200 => (200, drop_first_position(&resp.body)),
+                            202 => {
+                                let parsed = omega_obs::parse_json(&resp.body).expect("job json");
+                                let id = parsed.get("job").and_then(|v| v.as_str()).expect("id");
+                                let deadline = Instant::now() + Duration::from_secs(30);
+                                let done = upstream.wait_job(id, deadline).expect("job ends");
+                                (200, drop_first_position(&done))
+                            }
+                            other => (other, resp.body),
+                        }
+                    } else {
+                        let resp = upstream.get(&request.path).expect("proxy get");
+                        (resp.status, resp.body)
+                    };
+                    let written = write_response(
+                        conn.stream_mut(),
+                        status,
+                        "Proxied",
+                        "application/json",
+                        &[],
+                        &text,
+                        request.keep_alive,
+                    );
+                    if written.is_err() || !request.keep_alive {
+                        break;
+                    }
+                }
+            });
+        }
+    });
+    addr
+}
+
+#[test]
+fn short_shard_result_is_rejected_and_redispatched() {
+    let (_seed, body) = seed_routing_to_worker_zero(2);
+    let expected = single_node_result(&body);
+
+    let backing = boot_worker("backing", 16, false);
+    let liar = boot_dropping_worker(backing.addr());
+    let honest = boot_worker("honest", 16, false);
+    let coord = boot_coordinator(vec![liar.to_string(), honest.addr().to_string()], 10_000);
+    let c = client(coord.addr());
+
+    let resp = c.post("/scan", &body).expect("scan");
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    assert_eq!(
+        extract_member(&resp.body, "result"),
+        expected,
+        "a short shard result leaked into the merged report"
+    );
+    let stats = omega_obs::parse_json(&c.get("/stats").expect("stats").body).expect("stats json");
+    let invalid = stats
+        .get("counters")
+        .and_then(|v| v.get("cluster.invalid_shard_results"))
+        .and_then(|v| v.as_u64())
+        .unwrap_or(0);
+    assert!(invalid >= 1, "the short result was not counted as invalid");
+
+    coord.shutdown();
+    honest.shutdown();
+    backing.shutdown();
 }
 
 #[test]

@@ -1,5 +1,14 @@
-//! Placement of ω positions along the region and the per-position window
-//! geometry (Fig. 2 of the paper).
+//! Placement of ω positions along the region, the per-position window
+//! geometry (Fig. 2 of the paper), and the one grid cutter.
+//!
+//! [`GridChain`] is the only place the grid is cut into runs of
+//! consecutive positions: thread runs for the multithreaded scan
+//! ([`GridChain::runs`]) and cluster shards ([`GridChain::balanced`]).
+//! A run keeps the matrix data reuse (Fig. 3) inside itself and
+//! forfeits it only at its seams, so both policies share one seam-loss
+//! ledger, [`GridChain::broken_reuse`].
+
+use std::ops::Range;
 
 use omega_genome::Alignment;
 
@@ -77,19 +86,25 @@ impl GridPlan {
         if n == 0 {
             return GridPlan { positions: Vec::new() };
         }
-        let first = alignment.position(0);
-        let last = alignment.position(n - 1);
-        let g = params.grid;
-        let positions = (0..g)
-            .map(|i| Self::plan_at(alignment, grid_position_bp(first, last, g, i), params))
-            .collect();
-        GridPlan { positions }
+        let (first, last) = (alignment.position(0), alignment.position(n - 1));
+        Self::place(alignment, params, first, last, params.grid, 0..params.grid)
     }
 
-    /// A plan over caller-chosen positions (must be ascending by bp). Used
-    /// by the cluster shard path, where a worker rebuilds the subset of the
-    /// global grid that falls inside its shard.
-    pub fn from_positions(positions: Vec<PositionPlan>) -> GridPlan {
+    /// Places grid indices `indices` of a `grid`-position grid spanning
+    /// `first_bp..=last_bp` and resolves each window against `alignment`.
+    /// The cluster shard path passes the *full* alignment's span with a
+    /// sliced alignment, so a shard lands on the global positions.
+    pub fn place(
+        alignment: &Alignment,
+        params: &ScanParams,
+        first_bp: u64,
+        last_bp: u64,
+        grid: usize,
+        indices: Range<usize>,
+    ) -> GridPlan {
+        let positions = indices
+            .map(|i| Self::plan_at(alignment, grid_position_bp(first_bp, last_bp, grid, i), params))
+            .collect();
         GridPlan { positions }
     }
 
@@ -210,6 +225,158 @@ impl BorderSet {
         debug_assert!(self.left_borders.iter().enumerate().all(|(a, &lb)| lb as usize == a));
         debug_assert!(self.right_borders.windows(2).all(|w| w[1] == w[0] + 1));
     }
+}
+
+/// Grid runs per worker the [`GridChain::runs`] policy aims for, so
+/// work stealing has slack to balance uneven positions.
+const RUNS_PER_WORKER: usize = 4;
+
+/// Ceiling on the relocated cells [`GridChain::runs`] may sacrifice at
+/// paid seams, as a percentage of the grid's total predicted reuse.
+const SEAM_LOSS_BUDGET_PCT: u64 = 8;
+
+/// A matrix-reuse chain edge: advancing positions `p < q` with no
+/// advancing position between them, and the cells `q` relocates from
+/// `p`'s window. A part starting at grid index `c` with `p < c <= q`
+/// rebuilds `q`'s matrix from scratch and forfeits `loss`.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    p: usize,
+    q: usize,
+    loss: u64,
+}
+
+/// The grid cutter, built once per scan: each position's ω workload
+/// (`n_combinations`, 0 when unscorable) and the chain of matrix-reuse
+/// edges between consecutive *advancing* positions (those with at least
+/// one combination — only they move the matrix).
+///
+/// Both cut policies return contiguous, non-empty, ascending index
+/// ranges that cover the grid once; [`GridChain::broken_reuse`] prices
+/// any such cut.
+#[derive(Debug, Clone)]
+pub struct GridChain {
+    combinations: Vec<u64>,
+    edges: Vec<Edge>,
+}
+
+impl GridChain {
+    /// Builds each position's [`BorderSet`] once and derives the chain.
+    pub fn build(alignment: &Alignment, plan: &GridPlan, params: &ScanParams) -> GridChain {
+        let combinations = plan
+            .positions()
+            .iter()
+            .map(|p| BorderSet::build(alignment, p, params).map_or(0, |b| b.n_combinations()))
+            .collect();
+        Self::from_combinations(plan.positions(), combinations)
+    }
+
+    /// The chain over `plans` given each position's combination count.
+    /// The loss of an edge is what [`crate::matrix::RegionMatrix::advance`]
+    /// relocates moving from `p`'s window to `q`'s: `tri(overlap)`, zero
+    /// when the windows do not overlap.
+    fn from_combinations(plans: &[PositionPlan], combinations: Vec<u64>) -> GridChain {
+        debug_assert_eq!(plans.len(), combinations.len());
+        let advancing: Vec<usize> = (0..plans.len()).filter(|&i| combinations[i] > 0).collect();
+        let edges = advancing
+            .windows(2)
+            .map(|w| {
+                let (prev, cur) = (&plans[w[0]], &plans[w[1]]);
+                let overlap = if cur.lo >= prev.lo && cur.lo < prev.hi {
+                    prev.hi.min(cur.hi) - cur.lo
+                } else {
+                    0
+                } as u64;
+                let loss = if overlap < 2 { 0 } else { overlap * (overlap - 1) / 2 };
+                Edge { p: w[0], q: w[1], loss }
+            })
+            .collect();
+        GridChain { combinations, edges }
+    }
+
+    /// Thread runs for the work-stealing scan. Boundaries that break no
+    /// reuse — spanned by no edge, or by an edge with nothing to
+    /// relocate — are always cut: the matrix restarts there anyway. If
+    /// that leaves fewer than `workers ×` [`RUNS_PER_WORKER`] runs and
+    /// there is more than one worker, paid cuts are added cheapest edge
+    /// first, at the edge's `q`, until the queue is deep enough or the
+    /// next cut would exceed [`SEAM_LOSS_BUDGET_PCT`] of the total reuse.
+    pub fn runs(&self, workers: usize) -> Vec<Range<usize>> {
+        let n = self.combinations.len();
+        let mut starts = vec![true; n]; // starts[i]: a run starts at position i
+        for e in self.edges.iter().filter(|e| e.loss > 0) {
+            starts[e.p + 1..=e.q].fill(false);
+        }
+        if workers > 1 {
+            let free = starts.iter().filter(|&&s| s).count();
+            let missing = n.min(workers * RUNS_PER_WORKER).saturating_sub(free);
+            let budget =
+                self.edges.iter().map(|e| e.loss).sum::<u64>() * SEAM_LOSS_BUDGET_PCT / 100;
+            let mut paid: Vec<(u64, usize)> =
+                self.edges.iter().filter(|e| e.loss > 0).map(|e| (e.loss, e.q)).collect();
+            paid.sort_unstable();
+            let mut spent = 0u64;
+            for (loss, q) in paid.into_iter().take(missing) {
+                if spent + loss > budget {
+                    break;
+                }
+                starts[q] = true;
+                spent += loss;
+            }
+        }
+        parts(&(0..n).filter(|&i| starts[i]).collect::<Vec<_>>(), n)
+    }
+
+    /// At most `k` shards balanced by ω workload: cuts at the prefix
+    /// quantiles of the per-position weight `max(n_combinations, 1)` (the
+    /// floor spreads unscorable positions across shards instead of
+    /// collapsing boundaries), forced to strict progress so every shard
+    /// holds at least one position.
+    pub fn balanced(&self, k: usize) -> Vec<Range<usize>> {
+        let n = self.combinations.len();
+        if n == 0 {
+            return Vec::new();
+        }
+        let k = k.clamp(1, n);
+        // prefix[i]: weight of positions 0..i.
+        let mut prefix = Vec::with_capacity(n + 1);
+        prefix.push(0u128);
+        for &c in &self.combinations {
+            prefix.push(prefix[prefix.len() - 1] + u128::from(c.max(1)));
+        }
+        let total = prefix[n];
+        let mut starts = Vec::with_capacity(k);
+        starts.push(0usize);
+        for s in 1..k {
+            let target = total * s as u128 / k as u128;
+            let at = prefix.partition_point(|&w| w < target);
+            starts.push(at.clamp(starts[s - 1] + 1, n - (k - s)));
+        }
+        parts(&starts, n)
+    }
+
+    /// The seam-loss ledger: the relocated cells a cut of the grid into
+    /// `parts` forfeits. Each part's start breaks the edge it falls
+    /// inside; an edge broken by several starts is counted once.
+    pub fn broken_reuse(&self, parts: &[Range<usize>]) -> u64 {
+        let mut broken: Vec<usize> = parts
+            .iter()
+            .filter_map(|r| {
+                let e = self.edges.partition_point(|e| e.q < r.start);
+                self.edges.get(e).is_some_and(|e| e.p < r.start).then_some(e)
+            })
+            .collect();
+        broken.sort_unstable();
+        broken.dedup();
+        broken.iter().map(|&e| self.edges[e].loss).sum()
+    }
+}
+
+/// Contiguous ranges starting at each of the ascending `starts` (the
+/// first is 0) and ending at the next start, the last one at `n`.
+fn parts(starts: &[usize], n: usize) -> Vec<Range<usize>> {
+    let ends = starts.iter().skip(1).copied().chain([n]);
+    starts.iter().copied().zip(ends).map(|(lo, hi)| lo..hi).collect()
 }
 
 #[cfg(test)]
@@ -359,5 +526,169 @@ mod tests {
         let plan = GridPlan::plan_at(&a, 250, &p);
         let b = BorderSet::build(&a, &plan, &p).unwrap();
         assert_eq!(b.n_combinations(), 0);
+    }
+
+    /// A chain over `plans` where the positions flagged in `advances`
+    /// carry one combination each.
+    fn chain(plans: &[PositionPlan], advances: &[bool]) -> GridChain {
+        GridChain::from_combinations(plans, advances.iter().map(|&a| u64::from(a)).collect())
+    }
+
+    #[test]
+    fn run_planner_cuts_free_boundaries() {
+        // Three islands of overlapping windows separated by gaps: the two
+        // gap boundaries are free cuts, nothing is paid even at 1 worker.
+        let mk = |lo: usize, hi: usize| PositionPlan { pos_bp: lo as u64, lo, hi, split: lo + 1 };
+        let plans = vec![mk(0, 10), mk(4, 14), mk(20, 30), mk(24, 34), mk(40, 50)];
+        let c = chain(&plans, &[true; 5]);
+        let runs = c.runs(1);
+        assert_eq!(c.broken_reuse(&runs), 0);
+        assert_eq!(runs, vec![0..2, 2..4, 4..5]);
+    }
+
+    #[test]
+    fn run_planner_pays_within_budget() {
+        // One long chain of heavily-overlapping windows: free cuts don't
+        // exist, so multi-worker planning must buy cuts — and the total
+        // paid loss stays within the budget.
+        let mk = |i: usize| PositionPlan { pos_bp: i as u64, lo: i, hi: i + 40, split: i + 20 };
+        let plans: Vec<_> = (0..64).map(mk).collect();
+        let c = chain(&plans, &[true; 64]);
+        let per_seam = c.broken_reuse(&[0..1, 1..64]);
+        assert_eq!(per_seam, 39 * 38 / 2);
+        let total: u64 = per_seam * 63;
+        let runs = c.runs(8);
+        let lost = c.broken_reuse(&runs);
+        assert!(runs.len() > 1, "must create stealable runs");
+        assert!(lost <= total * SEAM_LOSS_BUDGET_PCT / 100);
+        assert_eq!(lost, per_seam * (runs.len() as u64 - 1));
+        // Runs cover the grid exactly once, in order.
+        assert_eq!(runs[0].start, 0);
+        assert_eq!(runs.last().unwrap().end, 64);
+        assert!(runs.windows(2).all(|w| w[0].end == w[1].start));
+    }
+
+    #[test]
+    fn run_planner_respects_non_advancing_positions() {
+        // Positions 0 and 3 never advance the matrix (unscorable): the
+        // only chain edge is 1→2, boundaries outside it are free, and one
+        // worker keeps the edge intact.
+        let mk = |i: usize| PositionPlan { pos_bp: i as u64, lo: i, hi: i + 40, split: i + 20 };
+        let plans: Vec<_> = (0..4).map(mk).collect();
+        let c = chain(&plans, &[false, true, true, false]);
+        let runs = c.runs(1);
+        assert_eq!(c.broken_reuse(&runs), 0);
+        assert_eq!(runs, vec![0..1, 1..3, 3..4]);
+    }
+
+    #[test]
+    fn run_planner_single_worker_never_pays() {
+        let mk = |i: usize| PositionPlan { pos_bp: i as u64, lo: i, hi: i + 40, split: i + 20 };
+        let plans: Vec<_> = (0..32).map(mk).collect();
+        let c = chain(&plans, &[true; 32]);
+        let runs = c.runs(1);
+        assert_eq!(runs, vec![Range { start: 0, end: 32 }]);
+        assert_eq!(c.broken_reuse(&runs), 0);
+    }
+}
+
+#[cfg(test)]
+mod cutter_props {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    /// A random grid: windows with non-decreasing `lo` and `hi`, as grid
+    /// windows are, and about a quarter of the positions non-advancing.
+    fn random_grid(n: usize, seed: u64) -> (Vec<PositionPlan>, Vec<u64>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut lo, mut hi) = (0usize, 0usize);
+        let plans = (0..n)
+            .map(|i| {
+                lo += rng.gen_range(0..6);
+                hi = (hi + rng.gen_range(0..6)).max(lo + rng.gen_range(0..12));
+                PositionPlan { pos_bp: i as u64, lo, hi, split: lo }
+            })
+            .collect();
+        let combinations = (0..n)
+            .map(|_| if rng.gen_range(0..4) == 0 { 0 } else { rng.gen_range(1..1_000) })
+            .collect();
+        (plans, combinations)
+    }
+
+    /// Brute-force ledger: every pair of consecutive advancing positions
+    /// whose span holds a part start forfeits the site pairs both windows
+    /// share.
+    fn brute_force_broken(
+        plans: &[PositionPlan],
+        combinations: &[u64],
+        parts: &[Range<usize>],
+    ) -> u64 {
+        let advancing: Vec<usize> = (0..plans.len()).filter(|&i| combinations[i] > 0).collect();
+        let mut lost = 0u64;
+        for w in advancing.windows(2) {
+            let (p, q) = (w[0], w[1]);
+            if !parts.iter().any(|r| p < r.start && r.start <= q) {
+                continue;
+            }
+            let (prev, cur) = (&plans[p], &plans[q]);
+            let shared: Vec<usize> =
+                (cur.lo..cur.hi).filter(|s| (prev.lo..prev.hi).contains(s)).collect();
+            for (a, _) in shared.iter().enumerate() {
+                lost += (shared.len() - a - 1) as u64;
+            }
+        }
+        lost
+    }
+
+    fn assert_cover(parts: &[Range<usize>], n: usize) {
+        let mut next = 0;
+        for r in parts {
+            assert_eq!(r.start, next, "parts must be contiguous and ascending: {parts:?}");
+            assert!(r.start < r.end, "empty part in {parts:?}");
+            next = r.end;
+        }
+        assert_eq!(next, n, "parts must cover 0..{n}: {parts:?}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn cut_policies_cover_the_grid_and_price_exactly(
+            seed in 0u64..1_000_000,
+            n in 0usize..80,
+            workers in 1usize..12,
+            k in 0usize..24,
+        ) {
+            let (plans, combinations) = random_grid(n, seed);
+            let chain = GridChain::from_combinations(&plans, combinations.clone());
+            let singletons = parts(&(0..n).collect::<Vec<_>>(), n);
+            let every_edge = brute_force_broken(&plans, &combinations, &singletons);
+
+            let runs = chain.runs(workers);
+            assert_cover(&runs, n);
+            let paid = chain.broken_reuse(&runs);
+            prop_assert_eq!(paid, brute_force_broken(&plans, &combinations, &runs));
+            prop_assert!(paid <= every_edge * SEAM_LOSS_BUDGET_PCT / 100);
+            if workers == 1 {
+                prop_assert_eq!(paid, 0);
+            }
+
+            let shards = chain.balanced(k);
+            assert_cover(&shards, n);
+            prop_assert!(shards.len() <= k.max(1));
+            prop_assert_eq!(
+                chain.broken_reuse(&shards),
+                brute_force_broken(&plans, &combinations, &shards)
+            );
+
+            // Any cut set, not only the policies' own.
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+            let starts: Vec<usize> =
+                (0..n).filter(|&i| i == 0 || rng.gen_range(0..3) == 0).collect();
+            let cut = parts(&starts, n);
+            let expected = brute_force_broken(&plans, &combinations, &cut);
+            prop_assert_eq!(chain.broken_reuse(&cut), expected);
+        }
     }
 }

@@ -1,21 +1,14 @@
 //! Multithreaded scan: the "generic multithreaded OmegaPlus" the paper
 //! benchmarks in Table IV, with an overlap-aware work-stealing scheduler.
 //!
-//! Grid positions are partitioned into *runs* of consecutive positions
-//! that workers pull from a shared queue. Each run keeps the matrix
+//! Grid positions are cut into *runs* of consecutive positions that
+//! workers pull from a shared queue. Each run keeps the matrix
 //! data-reuse optimization ([`crate::matrix::RegionMatrix::advance`])
 //! inside itself; relocation is only forfeited at run seams, because each
-//! run starts with a fresh matrix. The planner therefore cuts the grid
-//! where it costs the least:
-//!
-//! * boundaries between *non-overlapping* windows are free — the matrix
-//!   would be fully rebuilt there anyway — and are always cut;
-//! * if free cuts alone leave too few runs to keep the queue busy
-//!   (fewer than `threads ×` [`RUNS_PER_WORKER`]), the planner adds paid
-//!   cuts cheapest-first (by predicted relocated-cell loss), but never
-//!   spends more than [`SEAM_LOSS_BUDGET_PCT`] percent of the total
-//!   predicted reuse — so small grids on many threads sacrifice at most a
-//!   sliver of the relocation savings for load balance.
+//! run starts with a fresh matrix. Where to cut is decided by the one
+//! grid cutter, [`crate::grid::GridChain::runs`] (free cuts first, then
+//! paid cuts under a seam-loss budget), and the relocation given up is
+//! priced by its ledger, [`crate::grid::GridChain::broken_reuse`].
 //!
 //! Workers pull run indices from an atomic queue instead of owning a
 //! fixed contiguous chunk: a worker that finishes early steals the next
@@ -39,17 +32,9 @@ use std::time::Instant;
 use omega_genome::Alignment;
 use rayon::prelude::*;
 
-use crate::grid::{BorderSet, GridPlan, PositionPlan};
+use crate::grid::{GridChain, GridPlan};
 use crate::profile::{ScanStats, Timings};
 use crate::scan::{scan_positions, OmegaScanner, ScanOutcome};
-
-/// Target queue depth: runs per worker the planner aims for, so stealing
-/// has slack to balance uneven positions.
-const RUNS_PER_WORKER: usize = 4;
-
-/// Ceiling on the predicted relocated cells the planner may sacrifice at
-/// paid seams, as a percentage of the total predicted reuse.
-const SEAM_LOSS_BUDGET_PCT: u64 = 8;
 
 /// The process-wide scan pool, built lazily on first parallel scan.
 /// `None` records a failed build; scans then run on the global pool.
@@ -58,13 +43,6 @@ const SEAM_LOSS_BUDGET_PCT: u64 = 8;
 pub fn scan_pool() -> Option<&'static rayon::ThreadPool> {
     static POOL: OnceLock<Option<rayon::ThreadPool>> = OnceLock::new();
     POOL.get_or_init(|| rayon::ThreadPoolBuilder::new().build().ok()).as_ref()
-}
-
-/// One planned run: a half-open range of grid-position indices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Run {
-    lo: usize,
-    hi: usize,
 }
 
 /// The shared work-stealing pull queue: `len` planned runs, claimed one
@@ -108,95 +86,6 @@ impl RunQueue {
     }
 }
 
-/// Predicted relocation between two matrix-advancing positions: the cells
-/// [`crate::matrix::RegionMatrix::advance`] relocates when it moves from
-/// `prev`'s window to `cur`'s (`tri(overlap)`), zero when the windows
-/// don't overlap. Public because the cluster shard planner accounts the
-/// same loss at shard boundaries to keep merged stats exact.
-pub fn seam_loss(prev: &PositionPlan, cur: &PositionPlan) -> u64 {
-    let overlap =
-        if cur.lo >= prev.lo && cur.lo < prev.hi { prev.hi.min(cur.hi) - cur.lo } else { 0 };
-    if overlap < 2 {
-        return 0;
-    }
-    (overlap as u64) * (overlap as u64 - 1) / 2
-}
-
-/// Partitions the grid into runs. `advances[i]` says whether position `i`
-/// advances the matrix (scorable with at least one combination) — only
-/// those positions carry relocation, so predicted reuse lives on the
-/// *chain edges* between consecutive advancing positions, and a cut
-/// forfeits exactly the one edge that spans it. Returns the runs
-/// (ascending, covering every position exactly once) and the total
-/// predicted relocation lost at the chosen seams — exact with respect to
-/// the sequential scan by construction.
-fn plan_runs(plans: &[PositionPlan], advances: &[bool], workers: usize) -> (Vec<Run>, u64) {
-    let n = plans.len();
-    debug_assert_eq!(advances.len(), n);
-    if n == 0 {
-        return (Vec::new(), 0);
-    }
-
-    // Chain edges (p, q, loss) between consecutive advancing positions;
-    // boundary i (a cut starting a run at position i) breaks the edge
-    // with p < i <= q. Boundaries spanned by no edge break nothing.
-    let adv: Vec<usize> = (0..n).filter(|&i| advances[i]).collect();
-    let edges: Vec<(usize, usize, u64)> =
-        adv.windows(2).map(|w| (w[0], w[1], seam_loss(&plans[w[0]], &plans[w[1]]))).collect();
-    let total_reuse: u64 = edges.iter().map(|&(_, _, l)| l).sum();
-    let mut edge_of: Vec<Option<usize>> = vec![None; n];
-    for (e, &(p, q, _)) in edges.iter().enumerate() {
-        for slot in &mut edge_of[p + 1..=q] {
-            *slot = Some(e);
-        }
-    }
-
-    // Free boundaries — spanned by no edge, or by an edge with nothing to
-    // relocate — are always cut: the matrix restarts there anyway.
-    let mut cut = vec![false; n]; // cut[i]: start a new run at position i
-    let mut n_runs = 1;
-    for i in 1..n {
-        if edge_of[i].is_none_or(|e| edges[e].2 == 0) {
-            cut[i] = true;
-            n_runs += 1;
-        }
-    }
-
-    // Paid cuts, cheapest edge first, to keep the steal queue deep enough
-    // — but only when there is someone to steal, and never beyond the
-    // seam-loss budget. Cutting at `q` (the advancing position that will
-    // rebuild) forfeits exactly that edge's relocation.
-    let mut lost = 0u64;
-    if workers > 1 {
-        let desired = n.min(workers * RUNS_PER_WORKER);
-        if n_runs < desired {
-            let budget = total_reuse * SEAM_LOSS_BUDGET_PCT / 100;
-            let mut paid: Vec<(u64, usize)> =
-                edges.iter().filter(|&&(_, _, l)| l > 0).map(|&(_, q, l)| (l, q)).collect();
-            paid.sort_unstable();
-            for (loss, q) in paid {
-                if n_runs >= desired || lost + loss > budget {
-                    break;
-                }
-                cut[q] = true;
-                n_runs += 1;
-                lost += loss;
-            }
-        }
-    }
-
-    let mut runs = Vec::with_capacity(n_runs);
-    let mut lo = 0;
-    for (i, &c) in cut.iter().enumerate().skip(1) {
-        if c {
-            runs.push(Run { lo, hi: i });
-            lo = i;
-        }
-    }
-    runs.push(Run { lo, hi: n });
-    (runs, lost)
-}
-
 impl OmegaScanner {
     /// Parallel scan using `params.threads` workers (0 = one per core).
     ///
@@ -212,15 +101,9 @@ impl OmegaScanner {
             t => t,
         };
         let plan = GridPlan::build(alignment, self.params());
-        let advances: Vec<bool> = plan
-            .positions()
-            .iter()
-            .map(|p| {
-                BorderSet::build(alignment, p, self.params())
-                    .is_some_and(|b| b.n_combinations() > 0)
-            })
-            .collect();
-        let (runs, predicted_lost) = plan_runs(plan.positions(), &advances, workers);
+        let chain = GridChain::build(alignment, &plan, self.params());
+        let runs = chain.runs(workers);
+        let predicted_lost = chain.broken_reuse(&runs);
         if runs.is_empty() {
             return ScanOutcome {
                 results: Vec::new(),
@@ -240,9 +123,8 @@ impl OmegaScanner {
             let mut pulls = 0u64;
             while let Some(r) = queue.pull() {
                 pulls += 1;
-                let run = runs[r];
                 let (res, t, s) =
-                    scan_positions(alignment, self.params(), &plan.positions()[run.lo..run.hi]);
+                    scan_positions(alignment, self.params(), &plan.positions()[runs[r].clone()]);
                 out.push((r, res));
                 timings.accumulate(&t); // sequential within one worker
                 stats.accumulate(&s);
@@ -392,56 +274,5 @@ mod tests {
             assert_eq!(s.pos_bp, r.pos_bp);
             assert_eq!(s.omega.to_bits(), r.omega.to_bits());
         }
-    }
-
-    #[test]
-    fn run_planner_cuts_free_boundaries() {
-        // Three islands of overlapping windows separated by gaps: the two
-        // gap boundaries are free cuts, nothing is paid even at 1 worker.
-        let mk = |lo: usize, hi: usize| PositionPlan { pos_bp: lo as u64, lo, hi, split: lo + 1 };
-        let plans = vec![mk(0, 10), mk(4, 14), mk(20, 30), mk(24, 34), mk(40, 50)];
-        let (runs, lost) = plan_runs(&plans, &[true; 5], 1);
-        assert_eq!(lost, 0);
-        assert_eq!(runs, vec![Run { lo: 0, hi: 2 }, Run { lo: 2, hi: 4 }, Run { lo: 4, hi: 5 }]);
-    }
-
-    #[test]
-    fn run_planner_pays_within_budget() {
-        // One long chain of heavily-overlapping windows: free cuts don't
-        // exist, so multi-worker planning must buy cuts — and the total
-        // paid loss stays within the budget.
-        let mk = |i: usize| PositionPlan { pos_bp: i as u64, lo: i, hi: i + 40, split: i + 20 };
-        let plans: Vec<_> = (0..64).map(mk).collect();
-        let per_seam = seam_loss(&plans[0], &plans[1]);
-        let total: u64 = per_seam * 63;
-        let (runs, lost) = plan_runs(&plans, &[true; 64], 8);
-        assert!(runs.len() > 1, "must create stealable runs");
-        assert!(lost <= total * SEAM_LOSS_BUDGET_PCT / 100);
-        assert_eq!(lost, per_seam * (runs.len() as u64 - 1));
-        // Runs cover the grid exactly once, in order.
-        assert_eq!(runs[0].lo, 0);
-        assert_eq!(runs.last().unwrap().hi, 64);
-        assert!(runs.windows(2).all(|w| w[0].hi == w[1].lo));
-    }
-
-    #[test]
-    fn run_planner_respects_non_advancing_positions() {
-        // Positions 0 and 3 never advance the matrix (unscorable): the
-        // only chain edge is 1→2, boundaries outside it are free, and one
-        // worker keeps the edge intact.
-        let mk = |i: usize| PositionPlan { pos_bp: i as u64, lo: i, hi: i + 40, split: i + 20 };
-        let plans: Vec<_> = (0..4).map(mk).collect();
-        let (runs, lost) = plan_runs(&plans, &[false, true, true, false], 1);
-        assert_eq!(lost, 0);
-        assert_eq!(runs, vec![Run { lo: 0, hi: 1 }, Run { lo: 1, hi: 3 }, Run { lo: 3, hi: 4 }]);
-    }
-
-    #[test]
-    fn run_planner_single_worker_never_pays() {
-        let mk = |i: usize| PositionPlan { pos_bp: i as u64, lo: i, hi: i + 40, split: i + 20 };
-        let plans: Vec<_> = (0..32).map(mk).collect();
-        let (runs, lost) = plan_runs(&plans, &[true; 32], 1);
-        assert_eq!(runs, vec![Run { lo: 0, hi: 32 }]);
-        assert_eq!(lost, 0);
     }
 }

@@ -7,6 +7,11 @@ use std::fmt;
 /// `DENOMINATOR_OFFSET` in the reference C implementation).
 pub const DENOMINATOR_OFFSET: f32 = 0.00001;
 
+/// Largest accepted `grid`. A grid plan holds one window per position,
+/// allocated up front, so an unbounded grid lets one request exhaust
+/// memory; 2^20 positions is over 100× any grid this workspace uses.
+pub const MAX_GRID: usize = 1 << 20;
+
 /// Parameters of an ω scan.
 ///
 /// * `grid` — number of equidistant ω positions evaluated along the region
@@ -56,6 +61,9 @@ impl ScanParams {
         if self.grid == 0 {
             return Err(ParamError("grid must be at least 1".into()));
         }
+        if self.grid > MAX_GRID {
+            return Err(ParamError(format!("grid ({}) exceeds {MAX_GRID}", self.grid)));
+        }
         if self.max_win == 0 {
             return Err(ParamError("max_win must be positive".into()));
         }
@@ -104,6 +112,14 @@ mod tests {
     fn zero_grid_rejected() {
         let p = ScanParams::default().with_grid(0);
         assert!(p.validate().is_err());
+    }
+
+    #[test]
+    fn grid_beyond_max_rejected() {
+        assert!(ScanParams::default().with_grid(MAX_GRID).validate().is_ok());
+        let err = ScanParams::default().with_grid(MAX_GRID + 1).validate().unwrap_err();
+        assert!(err.to_string().contains("exceeds"), "{err}");
+        assert!(ScanParams::default().with_grid(1_000_000_000_000_000).validate().is_err());
     }
 
     #[test]

@@ -24,6 +24,7 @@ pub const INSTRUMENTS: &[&str] = &[
     "bench.noop.ops",
     "cluster.conn_retries",
     "cluster.failovers",
+    "cluster.invalid_shard_results",
     "cluster.local_shards",
     "cluster.merge_ns",
     "cluster.partition_ns",

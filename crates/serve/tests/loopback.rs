@@ -155,6 +155,20 @@ fn malformed_input_yields_4xx_not_panic() {
     handle.shutdown();
 }
 
+/// A grid beyond `MAX_GRID` is a 400 at parse time: the daemon never
+/// tries to allocate the plan, and keeps serving afterwards.
+#[test]
+fn oversized_grid_is_rejected_and_daemon_survives() {
+    let handle = boot(local());
+    let addr = handle.addr();
+    let (status, _, body) = common::post_scan(addr, &common::scan_body(1, 1_000_000_000_000_000));
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("grid"), "{body}");
+    let (status, _, _) = common::get(addr, "/healthz");
+    assert_eq!(status, 200);
+    handle.shutdown();
+}
+
 /// Shutdown with work still queued finishes every admitted job before
 /// returning (graceful drain), and the drain report proves it.
 #[test]
