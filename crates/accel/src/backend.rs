@@ -35,7 +35,7 @@ pub const FPGA_LD_SAMPLE_SCORES_PER_SEC: f64 = 2.675e11;
 /// Which platform executes the two hot stages.
 #[derive(Debug, Clone)]
 pub enum Backend {
-    /// Host CPU (one core unless `params.threads` says otherwise).
+    /// Host CPU: the scan runs on the calling thread.
     Cpu,
     /// Simulated GPU (both LD and ω on the device).
     Gpu(GpuDevice),

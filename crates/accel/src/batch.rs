@@ -202,29 +202,6 @@ impl BatchDetector {
         omega_obs::gauge!("scan.batch_replicates").set(out.n_replicates() as i64);
         Ok(out)
     }
-
-    /// Scans a slice of in-memory replicates, evaluating the per-replicate
-    /// model runs concurrently on the process-wide scan pool
-    /// ([`omega_core::scan_pool`]) — the ROADMAP ride-along that keeps
-    /// gpu-sim/fpga-sim cost sweeps cheap at cluster scale. Outcomes are
-    /// collected back into input order and aggregated in that order, so
-    /// the result (including every f64 stage sum) is bit-identical to the
-    /// sequential [`BatchDetector::run`] over the same slice.
-    pub fn run_parallel(&self, replicates: &[Alignment]) -> BatchOutcome {
-        let _span = omega_obs::span!("accel.batch");
-        let detect_all = || -> Vec<DetectionOutcome> {
-            use rayon::prelude::*;
-            replicates.par_iter().map(|a| self.detector.detect(a)).collect()
-        };
-        let outcomes = match omega_core::scan_pool() {
-            Some(pool) => pool.install(detect_all),
-            None => detect_all(),
-        };
-        omega_obs::counter!("scan.replicates").add(outcomes.len() as u64);
-        let out = BatchOutcome::from_replicates(self.detector.backend().label(), outcomes);
-        omega_obs::gauge!("scan.batch_replicates").set(out.n_replicates() as i64);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -345,39 +322,6 @@ mod tests {
         assert_eq!(p, params());
         assert!(matches!(backend, Backend::Gpu(_)));
         assert_eq!(overlap, OverlapMode::DoubleBuffered);
-    }
-
-    #[test]
-    fn parallel_batch_bit_identical_to_sequential() {
-        // The replicate-parallel path must not perturb a single bit: the
-        // per-replicate model runs are independent and the aggregation
-        // order is pinned to input order, so even the f64 stage sums of
-        // the GPU/FPGA cost models match exactly.
-        let reps: Vec<Alignment> = (0..4).map(|s| random_alignment(40, 16, 30 + s)).collect();
-        for backend in [
-            Backend::Gpu(GpuDevice::tesla_k80()),
-            Backend::Fpga(omega_fpga_sim::FpgaDevice::alveo_u200()),
-        ] {
-            let batch = BatchDetector::new(params(), backend).unwrap();
-            let seq = batch.run(reps.iter().cloned().map(ok)).unwrap();
-            let par = batch.run_parallel(&reps);
-            assert_eq!(par.n_replicates(), seq.n_replicates());
-            assert_eq!(par.backend, seq.backend);
-            assert_eq!(par.ld_seconds.to_bits(), seq.ld_seconds.to_bits());
-            assert_eq!(par.omega_seconds.to_bits(), seq.omega_seconds.to_bits());
-            assert_eq!(par.transfer_seconds.to_bits(), seq.transfer_seconds.to_bits());
-            assert_eq!(par.stats.omega_evaluations, seq.stats.omega_evaluations);
-            assert_eq!(par.stats.r2_pairs, seq.stats.r2_pairs);
-            for (x, y) in par.replicates.iter().zip(&seq.replicates) {
-                assert_eq!(x.results.len(), y.results.len());
-                for (a, b) in x.results.iter().zip(&y.results) {
-                    assert_eq!(a.pos_bp, b.pos_bp);
-                    assert_eq!(a.omega.to_bits(), b.omega.to_bits());
-                    assert_eq!(a.left_bp, b.left_bp);
-                    assert_eq!(a.right_bp, b.right_bp);
-                }
-            }
-        }
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //! (matrix DP, planning, packing) is backend-independent and cancels
 //! out of the comparison, so it is deliberately left out.
 //!
-//! The shape pass parallelizes over grid positions with rayon; the
-//! model evaluations are memoized on their integer inputs, because
+//! The shape pass walks the grid positions once, and the model
+//! evaluations are memoized on their integer inputs, because
 //! neighbouring grid positions usually share a workload shape. A
 //! prediction consult records nothing in the observability registry —
 //! counters describe executed work, and the consult executes none.
@@ -35,7 +35,6 @@ use omega_core::{total_order_key_f64, BorderSet, Calibration, GridPlan, ScanPara
 use omega_fpga_sim::{FpgaDevice, FpgaOmegaEngine};
 use omega_genome::Alignment;
 use omega_gpu_sim::{GpuDevice, GpuLd, GpuOmegaEngine, TaskDims};
-use rayon::prelude::*;
 
 use crate::backend::{Backend, FPGA_LD_SAMPLE_SCORES_PER_SEC};
 
@@ -193,7 +192,7 @@ impl CostPredictor {
         // Shape pass: border sets are independent per position.
         let shapes: Vec<Option<PosShape>> = plan
             .positions()
-            .par_iter()
+            .iter()
             .map(|pp| {
                 let b = BorderSet::build(alignment, pp, params)?;
                 let n_valid = b.n_combinations();

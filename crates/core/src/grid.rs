@@ -309,7 +309,7 @@ impl GridChain {
         }
         if workers > 1 {
             let free = starts.iter().filter(|&&s| s).count();
-            let missing = n.min(workers * RUNS_PER_WORKER).saturating_sub(free);
+            let missing = n.min(workers.saturating_mul(RUNS_PER_WORKER)).saturating_sub(free);
             let budget =
                 self.edges.iter().map(|e| e.loss).sum::<u64>() * SEAM_LOSS_BUDGET_PCT / 100;
             let mut paid: Vec<(u64, usize)> =

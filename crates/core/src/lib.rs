@@ -56,7 +56,7 @@ pub use grid::{grid_position_bp, BorderSet, GridChain, GridPlan, PositionPlan};
 pub use kernel::{total_order_key, total_order_key_f64, OmegaKernel, TaskView};
 pub use matrix::{MatrixBuildStats, MatrixBuildTiming, RegionMatrix};
 pub use omega::{omega_max, omega_score, OmegaMax, OmegaTask, OmegaWorkload};
-pub use parallel::{scan_pool, RunQueue};
+pub use parallel::RunQueue;
 pub use params::{ParamError, ScanParams, DENOMINATOR_OFFSET};
 pub use profile::{throughput, Calibration, ScanStats, Timings};
 pub use report::{Report, SweepCall};

@@ -18,32 +18,23 @@
 //! (`cells_reused + reuse_lost_at_seams` equals the sequential scan's
 //! `cells_reused` when every position is scorable).
 //!
-//! The pool itself is built once per process and shared by every scan
-//! ([`scan_pool`]); `threads == 0` or a failed pool build falls back to
-//! rayon's global pool instead of panicking.
+//! The workers run one after another on the calling thread, so the first
+//! one pulls every run. The worker loop in [`OmegaScanner::scan_parallel`]
+//! is the one place that would spawn them. `threads == 0` means one
+//! worker per available core, and no more workers run than there are
+//! runs to pull.
 
 #[cfg(loom)]
 use loom::sync::atomic::{AtomicUsize, Ordering};
 #[cfg(not(loom))]
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 use std::time::Instant;
 
 use omega_genome::Alignment;
-use rayon::prelude::*;
 
 use crate::grid::{GridChain, GridPlan};
 use crate::profile::{ScanStats, Timings};
 use crate::scan::{scan_positions, OmegaScanner, ScanOutcome};
-
-/// The process-wide scan pool, built lazily on first parallel scan.
-/// `None` records a failed build; scans then run on the global pool.
-/// Shared with the batch detector's replicate-parallel path so the
-/// process never holds two competing pools.
-pub fn scan_pool() -> Option<&'static rayon::ThreadPool> {
-    static POOL: OnceLock<Option<rayon::ThreadPool>> = OnceLock::new();
-    POOL.get_or_init(|| rayon::ThreadPoolBuilder::new().build().ok()).as_ref()
-}
 
 /// The shared work-stealing pull queue: `len` planned runs, claimed one
 /// at a time by racing workers. A single `fetch_add` hands out each
@@ -95,9 +86,8 @@ impl OmegaScanner {
     pub fn scan_parallel(&self, alignment: &Alignment) -> ScanOutcome {
         let _span = omega_obs::span!("scan.parallel");
         let start = Instant::now();
-        let pool = scan_pool();
         let workers = match self.params().threads {
-            0 => pool.map_or_else(rayon::current_num_threads, |p| p.current_num_threads()),
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
             t => t,
         };
         let plan = GridPlan::build(alignment, self.params());
@@ -131,10 +121,8 @@ impl OmegaScanner {
             }
             (out, timings, stats, pulls.saturating_sub(1))
         };
-        let per_worker: Vec<_> = match pool {
-            Some(p) => p.install(|| (0..workers).into_par_iter().map(worker_loop).collect()),
-            None => (0..workers).into_par_iter().map(worker_loop).collect(),
-        };
+        // A worker past the last run would never pull one.
+        let per_worker: Vec<_> = (0..workers.min(runs.len())).map(worker_loop).collect();
 
         let mut tagged: Vec<(usize, Vec<_>)> = Vec::with_capacity(runs.len());
         let mut timings = Timings::default();
@@ -211,8 +199,10 @@ mod tests {
     #[test]
     fn more_threads_than_positions() {
         let a = random_alignment(30, 12, 2);
-        let par = OmegaScanner::new(params(3, 16)).unwrap().scan_parallel(&a);
-        assert_eq!(par.results.len(), 3);
+        for threads in [16, usize::MAX] {
+            let par = OmegaScanner::new(params(3, threads)).unwrap().scan_parallel(&a);
+            assert_eq!(par.results.len(), 3);
+        }
     }
 
     #[test]

@@ -18,7 +18,6 @@ pub mod error;
 pub mod fasta;
 pub mod filter;
 pub mod freq;
-pub mod impute;
 pub mod ms;
 pub mod sites;
 pub mod vcf;

@@ -10,7 +10,6 @@
 //! tie-breaking matches the CPU reference exactly.
 
 use omega_core::{OmegaMax, OmegaTask, OmegaWorkload, TaskView};
-use rayon::prelude::*;
 
 use crate::buffers::{BufferPlan, KernelKind, TaskDims};
 use crate::cost::{CostModel, GpuCost};
@@ -77,7 +76,7 @@ impl GpuOmegaEngine {
     }
 
     /// Runs any workload form with dynamic kernel selection.
-    pub fn run_workload<W: OmegaWorkload + Sync>(&self, workload: &W) -> KernelRun {
+    pub fn run_workload<W: OmegaWorkload>(&self, workload: &W) -> KernelRun {
         self.run_workload_with(workload, self.dispatch_kind(workload.n_combinations()))
     }
 
@@ -88,11 +87,7 @@ impl GpuOmegaEngine {
     }
 
     /// Runs any workload form on a forced kernel.
-    pub fn run_workload_with<W: OmegaWorkload + Sync>(
-        &self,
-        workload: &W,
-        kind: KernelKind,
-    ) -> KernelRun {
+    pub fn run_workload_with<W: OmegaWorkload>(&self, workload: &W, kind: KernelKind) -> KernelRun {
         let _span = omega_obs::span!("gpu.task");
         let dims = workload_dims(workload);
         let best = execute_functional(workload);
@@ -177,17 +172,16 @@ pub fn workload_dims<W: OmegaWorkload>(workload: &W) -> TaskDims {
     }
 }
 
-/// Evaluates every valid combination, parallel over left borders, with
+/// Evaluates every valid combination, one left border at a time, with
 /// the shared `total_cmp` reduction contract (first combination in
 /// (a, b) ascending order that is strictly greater under the IEEE total
 /// order wins; NaN ranks above every finite score).
-fn execute_functional<W: OmegaWorkload + Sync>(workload: &W) -> Option<OmegaMax> {
+fn execute_functional<W: OmegaWorkload>(workload: &W) -> Option<OmegaMax> {
     let n_rb = workload.n_rb();
     if workload.n_lb() == 0 || n_rb == 0 {
         return None;
     }
     let per_row: Vec<Option<(f32, usize, u64)>> = (0..workload.n_lb())
-        .into_par_iter()
         .map(|a| {
             let mut best: Option<(f32, usize)> = None;
             let mut evaluated = 0u64;

@@ -3,7 +3,7 @@
 //! The joint count `n11` of every (row, col) pair is one element of the
 //! binary matrix product X·Xᵀ, which is how the BLIS mapping of Binder et
 //! al. computes LD on the GPU. We implement the same formulation on the
-//! CPU: a cache-blocked popcount GEMM with a rayon parallel outer loop.
+//! CPU: a popcount GEMM blocked over column tiles for cache locality.
 //!
 //! Missing data costs no extra pass. Because a missing call never carries
 //! a derived bit (`bits ⊆ valid`), `popcount(a.bits & b.bits)` already
@@ -22,7 +22,6 @@
 //! bit-identical to [`crate::r2_sites`].
 
 use omega_genome::SnpVec;
-use rayon::prelude::*;
 
 use crate::r2::{r2_from_counts, PairCounts};
 
@@ -30,10 +29,6 @@ use crate::r2::{r2_from_counts, PairCounts};
 /// tile of packed words plus the output slab stays L1-resident for typical
 /// sample counts.
 const COL_TILE: usize = 64;
-
-/// Rows per parallel work unit, balancing rayon scheduling overhead
-/// against load balance on narrow blocks.
-const ROW_CHUNK: usize = 8;
 
 /// Computes `out[j] = r²(row, cols[j])` for one row site against a slice
 /// of column sites. `out.len()` must equal `cols.len()`, and every site
@@ -100,7 +95,7 @@ fn pair_counts(a: &SnpVec, b: &SnpVec) -> PairCounts {
 }
 
 /// Computes the full r² block `rows × cols` (row-major output), tiling the
-/// column dimension for cache locality and parallelising over row chunks.
+/// column dimension for cache locality.
 ///
 /// This is the CPU realisation of the GEMM-based LD computation the paper's
 /// GPU path performs (§IV: "computes LD based on a general matrix
@@ -119,19 +114,14 @@ pub fn r2_block_into(rows: &[SnpVec], cols: &[SnpVec], out: &mut [f32]) {
     if rows.is_empty() || cols.is_empty() {
         return;
     }
-    out.par_chunks_mut(nc * ROW_CHUNK).zip(rows.par_chunks(ROW_CHUNK)).for_each(
-        |(out_chunk, row_chunk)| {
-            for (r, row) in row_chunk.iter().enumerate() {
-                let out_row = &mut out_chunk[r * nc..(r + 1) * nc];
-                let mut j = 0;
-                while j < nc {
-                    let hi = (j + COL_TILE).min(nc);
-                    r2_row(row, &cols[j..hi], &mut out_row[j..hi]);
-                    j = hi;
-                }
-            }
-        },
-    );
+    for (out_row, row) in out.chunks_mut(nc).zip(rows) {
+        let mut j = 0;
+        while j < nc {
+            let hi = (j + COL_TILE).min(nc);
+            r2_row(row, &cols[j..hi], &mut out_row[j..hi]);
+            j = hi;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -210,8 +200,7 @@ mod tests {
     }
 
     #[test]
-    fn block_row_count_exercises_parallel_chunking() {
-        // More rows than ROW_CHUNK so the rayon split path runs.
+    fn block_with_many_rows_matches_scalar_reference() {
         let rows = random_sites(35, 64, false, 7);
         let cols = random_sites(10, 64, false, 8);
         let out = r2_block(&rows, &cols);

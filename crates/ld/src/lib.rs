@@ -12,25 +12,20 @@
 //! *batch* of r² values against a block of sites is exactly a dense
 //! matrix-multiply over binary words — the Dense Linear Algebra (DLA)
 //! formulation of Alachiotis/Popovici/Low that Binder et al. mapped onto
-//! GPUs via BLIS, and which this crate implements as a cache-tiled,
-//! rayon-parallel popcount GEMM ([`gemm`]).
+//! GPUs via BLIS, and which this crate implements as a cache-tiled popcount
+//! GEMM ([`gemm`]).
 //!
-//! Four entry points are provided, all agreeing bit-for-bit:
+//! Three entry points are provided, all agreeing bit-for-bit:
 //! * [`r2::r2_sites`] — one pair at a time over the dense masked counts
 //!   (the reference the batch kernels are pinned against);
 //! * [`gemm::r2_row`] — one site against a run of sites, one popcount per
 //!   word plus a missing-word correction (the engine's hot path, behind
 //!   the [`simd`] dispatch);
-//! * [`gemm::r2_block`] — tiled site-block × site-block batch of rows;
-//! * [`matrix::LdMatrix`] — triangular r² matrix of a whole window.
+//! * [`gemm::r2_block`] — tiled site-block × site-block batch of rows.
 
 pub mod gemm;
-pub mod matrix;
-pub mod measures;
 pub mod r2;
 pub mod simd;
 
 pub use gemm::{r2_block, r2_row};
-pub use matrix::LdMatrix;
-pub use measures::{ld_measures, ld_measures_from_counts, LdMeasures};
 pub use r2::{r2_from_counts, r2_sites, PairCounts};

@@ -14,6 +14,7 @@
 //! group with the typed [`omega_accel::ReconfigureError`], never the
 //! lane.
 
+use std::convert::Infallible;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -264,7 +265,11 @@ fn run_group(
                 }
                 BatchOutcome::from_replicates(det.backend().label(), outcomes)
             }
-            None => lane.detector.run_parallel(&alignments),
+            None => {
+                let Ok(outcome) =
+                    lane.detector.run(alignments.into_iter().map(Ok::<_, Infallible>));
+                outcome
+            }
         }
     };
 

@@ -4,7 +4,7 @@
 //! ```text
 //! omegaplus -name RUN -input FILE [-format ms|fasta|vcf] [-length BP]
 //!           [-grid N] [-minwin BP] [-maxwin BP] [-minsnps N]
-//!           [-threads N] [-backend cpu|gpu|fpga|auto] [-device NAME]
+//!           [-backend cpu|gpu|fpga|auto] [-device NAME]
 //!           [-reps all|first|N] [-overlap on|off] [-report PATH]
 //! ```
 //!
@@ -114,9 +114,6 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
                 cli.params.min_snps_per_side =
                     num("-minsnps")?.parse().map_err(|_| "bad -minsnps")?
             }
-            "-threads" => {
-                cli.params.threads = num("-threads")?.parse().map_err(|_| "bad -threads")?
-            }
             "-backend" => cli.backend_kind = num("-backend")?,
             "-device" => cli.device = num("-device")?,
             "-reps" => {
@@ -151,7 +148,7 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
 }
 
 const USAGE: &str = "usage: omegaplus -name RUN -input FILE [-format ms|fasta|vcf] \
-[-length BP] [-grid N] [-minwin BP] [-maxwin BP] [-minsnps N] [-threads N] \
+[-length BP] [-grid N] [-minwin BP] [-maxwin BP] [-minsnps N] \
 [-backend cpu|gpu|fpga|auto] [-device radeon|k80|zcu102|alveo] [-reps all|first|N] \
 [-overlap on|off] [-maf F] [-report PATH] [-trace PATH] [-metrics]";
 
